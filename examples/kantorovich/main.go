@@ -47,12 +47,17 @@ func main() {
 			cell, p.WInf, p.W1, p.W1/p.WInf, p.Label, p.Pairs)
 	}
 
-	// The mechanism's score: σ = k·max W∞/ε, spending ε/k per cell.
-	score, err := pufferfish.KantorovichScoreMulti(cache, class, eps,
-		pufferfish.KantorovichOptions{}, []int{sessionLen, sessionLen, sessionLen})
+	// The mechanism's score: σ = k·max W∞/ε, spending ε/k per cell,
+	// maximized over the database's distinct session lengths.
+	subs, err := pufferfish.KantorovichChainSubstrates(class, []int{sessionLen, sessionLen, sessionLen})
 	if err != nil {
 		log.Fatal(err)
 	}
+	scores, err := pufferfish.KantorovichScoreBatch(cache, [][]pufferfish.Substrate{subs}, eps, pufferfish.KantorovichOptions{})
+	if err != nil {
+		log.Fatal(err)
+	}
+	score := scores[0]
 	fmt.Printf("\nKantorovich score: σ = %.2f (worst cell %d)\n", score.Sigma, score.Node)
 
 	// Release the relative-frequency histogram. Each of the k = 2

@@ -65,10 +65,14 @@ func main() {
 		fmt.Printf("  cell %d: W∞ = %.3f  W₁ = %.3f  (worst pair %s, %d pairs)\n",
 			cell, p.WInf, p.W1, p.Label, p.Pairs)
 	}
-	score, err := pufferfish.KantorovichScoreSubstrate(cache, sub, eps, pufferfish.KantorovichOptions{})
+	// The network is the release's only substrate: a batch of one
+	// member holding one substrate.
+	member := [][]pufferfish.Substrate{{sub}}
+	scores, err := pufferfish.KantorovichScoreBatch(cache, member, eps, pufferfish.KantorovichOptions{})
 	if err != nil {
 		log.Fatal(err)
 	}
+	score := scores[0]
 	fmt.Printf("count-level noise scale σ = k·W∞/ε = %.3f (worst cell %d)\n", score.Sigma, score.Node)
 
 	// The observed outbreak, released as a noisy infection histogram.
@@ -89,7 +93,7 @@ func main() {
 	}
 
 	// Scoring the same substrate again is fully cache-served.
-	if _, err := pufferfish.KantorovichScoreSubstrate(cache, sub, eps, pufferfish.KantorovichOptions{}); err != nil {
+	if _, err := pufferfish.KantorovichScoreBatch(cache, member, eps, pufferfish.KantorovichOptions{}); err != nil {
 		log.Fatal(err)
 	}
 	st := cache.Stats()

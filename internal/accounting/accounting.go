@@ -349,6 +349,26 @@ func (l *Ledger) Add(e Entry) error {
 	}
 	l.mu.Lock()
 	defer l.mu.Unlock()
+	return l.addLocked(e)
+}
+
+// Charge is Add returning the ledger's State right after this entry,
+// read in the same critical section as the charge: a concurrent charge
+// to the same ledger can never show through, so the state counts this
+// entry and exactly the entries recorded before it.
+func (l *Ledger) Charge(e Entry) (State, error) {
+	if err := e.validate(); err != nil {
+		return State{}, err
+	}
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	if err := l.addLocked(e); err != nil {
+		return State{}, err
+	}
+	return l.stateLocked(), nil
+}
+
+func (l *Ledger) addLocked(e Entry) error {
 	if err := l.checkCeilingLocked(e); err != nil {
 		return err
 	}
@@ -373,6 +393,38 @@ func (l *Ledger) Add(e Entry) error {
 		l.journal.Applied(seq)
 	}
 	return nil
+}
+
+// State is one consistent reading of a ledger's cumulative budget.
+type State struct {
+	// Releases is the number of recorded releases.
+	Releases int
+	// LinearEpsilon is the Theorem 4.4 linear bound (see LinearEpsilon).
+	LinearEpsilon float64
+	// DeltaSum is Σ per-release δ, the linear bound's δ.
+	DeltaSum float64
+	// Delta is the ledger's headline δ.
+	Delta float64
+	// Epsilon is the RDP-optimized ε at Delta (see TotalEpsilon).
+	Epsilon float64
+}
+
+// State reads every cumulative figure under one lock acquisition, so
+// all of them describe the same set of recorded releases.
+func (l *Ledger) State() State {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return l.stateLocked()
+}
+
+func (l *Ledger) stateLocked() State {
+	return State{
+		Releases:      len(l.entries),
+		LinearEpsilon: l.linearLocked(),
+		DeltaSum:      l.deltaSum,
+		Delta:         l.delta,
+		Epsilon:       l.epsilonLocked(l.delta),
+	}
 }
 
 // AddPure records an ε-Pufferfish release.
@@ -467,15 +519,20 @@ func (l *Ledger) Epsilon(delta float64) (float64, error) {
 	}
 	l.mu.Lock()
 	defer l.mu.Unlock()
+	return l.epsilonLocked(delta), nil
+}
+
+// epsilonLocked is Epsilon at a validated δ.
+func (l *Ledger) epsilonLocked(delta float64) float64 {
 	if len(l.entries) == 0 {
-		return 0, nil
+		return 0
 	}
 	if eps, ok := l.memo[delta]; ok {
-		return eps, nil
+		return eps
 	}
 	eps := epsilonOf(l.epsAlpha, len(l.entries), l.maxEps, l.deltaSum, delta)
 	l.memo[delta] = eps
-	return eps, nil
+	return eps
 }
 
 // epsilonOf is the (ε, δ) conversion over an explicit curve state: the

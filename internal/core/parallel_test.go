@@ -155,25 +155,13 @@ func TestExactScoreMultiParallelGoldenActivity(t *testing.T) {
 			lengths = append(lengths, len(s))
 		}
 	}
-	serialExact, err := ExactScoreMulti(class, 1, ExactOptions{Parallelism: 1}, lengths)
-	if err != nil {
-		t.Fatal(err)
-	}
-	serialApprox, err := ApproxScoreMulti(class, 1, ApproxOptions{Parallelism: 1}, lengths)
-	if err != nil {
-		t.Fatal(err)
-	}
+	serialExact := exactMulti(t, nil, class, 1, ExactOptions{Parallelism: 1}, lengths)
+	serialApprox := approxMulti(t, nil, class, 1, ApproxOptions{Parallelism: 1}, lengths)
+	checkMultiOracle(t, "activity/exact", serialExact, perLengthScores(t, class, lengths, exactOracle(1, ExactOptions{Parallelism: 1})))
+	checkMultiOracle(t, "activity/approx", serialApprox, perLengthScores(t, class, lengths, approxOracle(1, ApproxOptions{Parallelism: 1})))
 	for _, par := range parallelLevels[1:] {
-		gotE, err := ExactScoreMulti(class, 1, ExactOptions{Parallelism: par}, lengths)
-		if err != nil {
-			t.Fatal(err)
-		}
-		scoresIdentical(t, "activity/exact", gotE, serialExact)
-		gotA, err := ApproxScoreMulti(class, 1, ApproxOptions{Parallelism: par}, lengths)
-		if err != nil {
-			t.Fatal(err)
-		}
-		scoresIdentical(t, "activity/approx", gotA, serialApprox)
+		scoresIdentical(t, "activity/exact", exactMulti(t, nil, class, 1, ExactOptions{Parallelism: par}, lengths), serialExact)
+		scoresIdentical(t, "activity/approx", approxMulti(t, nil, class, 1, ApproxOptions{Parallelism: par}, lengths), serialApprox)
 	}
 }
 

@@ -247,22 +247,6 @@ func (sc *ScoreCache) ApproxScore(class markov.Class, eps float64, opt ApproxOpt
 	return s, nil
 }
 
-// ExactScoreMulti is the memoizing form of ExactScoreMulti: each
-// distinct session length is keyed separately (the fingerprint covers
-// T), so repeated multi-length releases hit per length.
-func (sc *ScoreCache) ExactScoreMulti(class markov.Class, eps float64, opt ExactOptions, lengths []int) (ChainScore, error) {
-	return multiScore(class, lengths, func(lc markov.Class) (ChainScore, error) {
-		return sc.ExactScore(lc, eps, opt)
-	})
-}
-
-// ApproxScoreMulti is the memoizing form of ApproxScoreMulti.
-func (sc *ScoreCache) ApproxScoreMulti(class markov.Class, eps float64, opt ApproxOptions, lengths []int) (ChainScore, error) {
-	return multiScore(class, lengths, func(lc markov.Class) (ChainScore, error) {
-		return sc.ApproxScore(lc, eps, opt)
-	})
-}
-
 // powerCacheSet shares the per-transition-matrix derived tables across
 // θ (and across batch classes, and — when owned by a ScoreCache —
 // across releases) with equal transition matrices: per-user empirical

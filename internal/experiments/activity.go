@@ -142,18 +142,19 @@ func activityGroup(cfg ActivityConfig, g activity.Group, rng *rand.Rand) (Activi
 		Sigmas:           map[string]float64{},
 	}
 
-	// Quilt-mechanism scores over every distinct session length
-	// (cfg.Cache's methods degrade to the direct scorers when nil).
-	approx, err := cfg.Cache.ApproxScoreMulti(class, cfg.Eps, core.ApproxOptions{Parallelism: cfg.Parallelism}, lengths)
+	// Quilt-mechanism scores over every distinct session length (a nil
+	// cfg.Cache scores without memoizing).
+	spec := []core.MultiSpec{{Class: class, Lengths: lengths}}
+	approx, err := core.ApproxScoreMultiBatch(cfg.Cache, spec, cfg.Eps, core.ApproxOptions{Parallelism: cfg.Parallelism})
 	if err != nil {
 		return ActivityResult{}, err
 	}
-	exact, err := cfg.Cache.ExactScoreMulti(class, cfg.Eps, core.ExactOptions{Parallelism: cfg.Parallelism}, lengths)
+	exact, err := core.ExactScoreMultiBatch(cfg.Cache, spec, cfg.Eps, core.ExactOptions{Parallelism: cfg.Parallelism})
 	if err != nil {
 		return ActivityResult{}, err
 	}
-	res.Sigmas[MechApprox] = approx.Sigma
-	res.Sigmas[MechExact] = exact.Sigma
+	res.Sigmas[MechApprox] = approx[0].Sigma
+	res.Sigmas[MechExact] = exact[0].Sigma
 	if gk, err := core.GK16SigmaClass(class, cfg.Eps); err == nil {
 		res.Sigmas[MechGK16] = gk.Sigma
 	} else {
@@ -192,8 +193,8 @@ func activityGroup(cfg ActivityConfig, g activity.Group, rng *rand.Rand) (Activi
 	aggScale := map[string]float64{
 		MechDP:      2 * worstPersonShare / cfg.Eps,
 		MechGroupDP: 2 * worstSessionShare / cfg.Eps,
-		MechApprox:  2 * approx.Sigma / nTotal,
-		MechExact:   2 * exact.Sigma / nTotal,
+		MechApprox:  2 * approx[0].Sigma / nTotal,
+		MechExact:   2 * exact[0].Sigma / nTotal,
 		MechGK16:    math.NaN(),
 	}
 	if !math.IsNaN(res.Sigmas[MechGK16]) {
@@ -245,8 +246,8 @@ func activityGroup(cfg ActivityConfig, g activity.Group, rng *rand.Rand) (Activi
 		}
 		scales := map[string]float64{
 			MechGroupDP: 2 * m / (n * cfg.Eps),
-			MechApprox:  2 * approx.Sigma / n,
-			MechExact:   2 * exact.Sigma / n,
+			MechApprox:  2 * approx[0].Sigma / n,
+			MechExact:   2 * exact[0].Sigma / n,
 		}
 		// Fixed order for the same determinism reason as the aggregate
 		// task above.

@@ -145,22 +145,12 @@ func TestExpMechValidation(t *testing.T) {
 // of the per-length scores (and not just the longest session's).
 func TestScoreMultiLengthMax(t *testing.T) {
 	class := threeStateClass(t, 9)
-	lengths := []int{2, 5, 9}
-	multi, err := ScoreMulti(nil, class, 1, Options{}, lengths)
+	lengths := []int{9, 2, 5}
+	multi, err := ScoreBatch(nil, [][]core.Substrate{chainMember(t, class, lengths)}, 1, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	var want core.ChainScore
-	for i, l := range lengths {
-		sc, err := Score(nil, core.WithLength(class, l), 1, Options{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if i == 0 || sc.Sigma > want.Sigma {
-			want = sc
-		}
-	}
-	if multi != want {
-		t.Errorf("ScoreMulti %+v != max of per-length scores %+v", multi, want)
+	if want := perLengthMax(t, class, 1, []int{2, 5, 9}); multi[0] != want {
+		t.Errorf("ScoreBatch %+v != max of per-length scores %+v", multi[0], want)
 	}
 }

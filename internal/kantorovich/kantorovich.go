@@ -47,7 +47,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 
 	"pufferfish/internal/core"
 	"pufferfish/internal/dist"
@@ -171,31 +171,17 @@ func cellProfile(cache *core.ScoreCache, sub core.Substrate, fp core.Fingerprint
 // Laplace scale σ spends ε/k per cell and composes to ε. The result
 // reuses ChainScore with the subsystem's meaning: Node is the 0-based
 // worst cell (not a chain node), Influence carries that cell's W₁
-// supremum, and Quilt/Ell stay zero.
+// supremum, and Quilt/Ell stay zero. It is ScoreBatch for one member
+// holding the class's substrate.
 func Score(cache *core.ScoreCache, class markov.Class, eps float64, opt Options) (core.ChainScore, error) {
-	if err := validateEps(eps); err != nil {
-		return core.ChainScore{}, err
-	}
 	if err := validate(class); err != nil {
 		return core.ChainScore{}, err
 	}
-	sub := core.NewClassSubstrate(class)
-	return scoreWith(cache, sub, core.SubstrateFingerprint(sub), eps, sched.New(opt.Parallelism))
-}
-
-// ScoreSubstrate is Score for any Substrate: the same per-cell
-// profiles and σ = k·max_a W∞(a)/ε calibration, with the conditional
-// count distributions supplied by the substrate (a chain's dynamic
-// program, a polytree's message passing). This is the serving path for
-// Bayesian-network releases.
-func ScoreSubstrate(cache *core.ScoreCache, sub core.Substrate, eps float64, opt Options) (core.ChainScore, error) {
-	if err := validateEps(eps); err != nil {
+	out, err := ScoreBatch(cache, [][]core.Substrate{{core.NewClassSubstrate(class)}}, eps, opt)
+	if err != nil {
 		return core.ChainScore{}, err
 	}
-	if err := validateSubstrate(sub); err != nil {
-		return core.ChainScore{}, err
-	}
-	return scoreWith(cache, sub, core.SubstrateFingerprint(sub), eps, sched.New(opt.Parallelism))
+	return out[0], nil
 }
 
 func scoreWith(cache *core.ScoreCache, sub core.Substrate, fp core.Fingerprint, eps float64, pool sched.Pool) (core.ChainScore, error) {
@@ -218,72 +204,49 @@ func scoreWith(cache *core.ScoreCache, sub core.Substrate, fp core.Fingerprint, 
 	}, nil
 }
 
-// distinctLengths validates a session-length multiset and reduces it
-// to its sorted distinct values. Unlike the quilt scorers there is no
-// plateau shortcut: W∞ has no constant-beyond-2ℓ+1 structure, so
-// every distinct length is profiled (and cached) individually.
-func distinctLengths(lengths []int) ([]int, error) {
+// ChainSubstrates returns the substrates a database of independent
+// chains with the given lengths, all governed by class (whose own T is
+// ignored), is scored over: one view of the class per distinct length,
+// in ascending order. Unlike the quilt scorers there is no plateau
+// shortcut — W∞ has no constant-beyond-2ℓ+1 structure — so every
+// distinct length is profiled (and cached) on its own. The maximum
+// per-length score is sound for the joint database by convolution
+// contraction: conditioning on a node of one session leaves every
+// other session's count distribution as a common independent
+// convolution term, and W∞(µ∗ρ, ν∗ρ) ≤ W∞(µ, ν), so the
+// within-session supremum bounds the database-wide one.
+func ChainSubstrates(class markov.Class, lengths []int) ([]core.Substrate, error) {
+	if class == nil {
+		return nil, errors.New("kantorovich: nil distribution class")
+	}
 	if len(lengths) == 0 {
 		return nil, errors.New("kantorovich: no chain lengths")
 	}
-	seen := map[int]bool{}
-	var out []int
-	for _, l := range lengths {
-		if l < 1 {
-			return nil, fmt.Errorf("kantorovich: invalid chain length %d", l)
-		}
-		if !seen[l] {
-			seen[l] = true
-			out = append(out, l)
-		}
+	distinct := slices.Clone(lengths)
+	slices.Sort(distinct)
+	distinct = slices.Compact(distinct)
+	if distinct[0] < 1 {
+		return nil, fmt.Errorf("kantorovich: invalid chain length %d", distinct[0])
 	}
-	sort.Ints(out)
-	return out, nil
-}
-
-// ScoreMulti computes the score for a database of independent chains
-// with the given lengths, all governed by the same class (whose own T
-// is ignored): the maximum per-length score. Soundness for the joint
-// database follows from convolution contraction — conditioning on a
-// node of one session leaves every other session's count distribution
-// as a common independent convolution term, and W∞(µ∗ρ, ν∗ρ) ≤
-// W∞(µ, ν), so the within-session supremum bounds the database-wide
-// one.
-func ScoreMulti(cache *core.ScoreCache, class markov.Class, eps float64, opt Options, lengths []int) (core.ChainScore, error) {
-	if err := validateEps(eps); err != nil {
-		return core.ChainScore{}, err
-	}
-	if err := validate(class); err != nil {
-		return core.ChainScore{}, err
-	}
-	distinct, err := distinctLengths(lengths)
-	if err != nil {
-		return core.ChainScore{}, err
-	}
-	pool := sched.New(opt.Parallelism)
-	var best core.ChainScore
+	subs := make([]core.Substrate, len(distinct))
 	for i, l := range distinct {
-		sub := core.NewClassSubstrate(core.WithLength(class, l))
-		sc, err := scoreWith(cache, sub, core.SubstrateFingerprint(sub), eps, pool)
-		if err != nil {
-			return core.ChainScore{}, err
-		}
-		if i == 0 || sc.Sigma > best.Sigma {
-			best = sc
-		}
+		subs[i] = core.NewClassSubstrate(core.WithLength(class, l))
 	}
-	return best, nil
+	return subs, nil
 }
 
-// ScoreBatch computes ScoreMulti for every spec through one worker-
-// pool invocation: the (class, length) sweeps are deduplicated by
-// fingerprint across specs before any work is scheduled, fan across
-// the pool with the usual outer/inner budget split, and consult the
-// shared cache first. Results align with specs and are bit-for-bit
-// identical to per-spec ScoreMulti calls at any parallelism. This is
-// the serving layer's batch-endpoint path for MechKantorovich.
-func ScoreBatch(cache *core.ScoreCache, specs []core.MultiSpec, eps float64, opt Options) ([]core.ChainScore, error) {
-	if len(specs) == 0 {
+// ScoreBatch scores many members through one worker-pool invocation.
+// A member is the list of substrates its release is scored over — one
+// per distinct session length of a chain database (ChainSubstrates),
+// or a single network — and its score is the first maximum-σ score
+// over that list. Substrates are deduplicated by SubstrateFingerprint
+// across all members before any work is scheduled, so a repeated chain
+// length or network costs one sweep; the sweeps fan across the pool
+// with the usual outer/inner budget split and consult the shared cache
+// first. Results align with members and are bit-for-bit identical at
+// any parallelism.
+func ScoreBatch(cache *core.ScoreCache, members [][]core.Substrate, eps float64, opt Options) ([]core.ChainScore, error) {
+	if len(members) == 0 {
 		return nil, nil
 	}
 	if err := validateEps(eps); err != nil {
@@ -295,17 +258,15 @@ func ScoreBatch(cache *core.ScoreCache, specs []core.MultiSpec, eps float64, opt
 	}
 	var jobs []job
 	fpToJob := map[core.Fingerprint]int{}
-	jobsOf := make([][]int, len(specs)) // spec → job indices, ascending length
-	for i, spec := range specs {
-		if err := validate(spec.Class); err != nil {
-			return nil, fmt.Errorf("kantorovich: spec %d: %w", i, err)
+	jobsOf := make([][]int, len(members)) // member → job indices, in member order
+	for i, subs := range members {
+		if len(subs) == 0 {
+			return nil, fmt.Errorf("kantorovich: member %d: no substrates", i)
 		}
-		distinct, err := distinctLengths(spec.Lengths)
-		if err != nil {
-			return nil, fmt.Errorf("kantorovich: spec %d: %w", i, err)
-		}
-		for _, l := range distinct {
-			sub := core.NewClassSubstrate(core.WithLength(spec.Class, l))
+		for _, sub := range subs {
+			if err := validateSubstrate(sub); err != nil {
+				return nil, fmt.Errorf("kantorovich: member %d: %w", i, err)
+			}
 			fp := core.SubstrateFingerprint(sub)
 			j, ok := fpToJob[fp]
 			if !ok {
@@ -327,7 +288,7 @@ func ScoreBatch(cache *core.ScoreCache, specs []core.MultiSpec, eps float64, opt
 			return nil, err
 		}
 	}
-	out := make([]core.ChainScore, len(specs))
+	out := make([]core.ChainScore, len(members))
 	for i, js := range jobsOf {
 		best := res[js[0]]
 		for _, j := range js[1:] {

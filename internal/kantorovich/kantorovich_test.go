@@ -146,39 +146,71 @@ func TestScoreCachedVsUncachedBitIdentical(t *testing.T) {
 	}
 }
 
-// TestScoreMultiAndBatch: the batched scorer must reproduce per-spec
-// ScoreMulti bit-for-bit, and all-duplicate specs must cost one sweep
-// per (cell, distinct length).
-func TestScoreMultiAndBatch(t *testing.T) {
-	classA := fig4Class(t, 6, 2)
-	classB := threeStateClass(t, 5)
-	specs := []core.MultiSpec{
-		{Class: classA, Lengths: []int{3, 6, 3}},
-		{Class: classB, Lengths: []int{5, 2}},
-		{Class: classA, Lengths: []int{3, 6}}, // same distinct lengths as spec 0
-	}
-	batch, err := ScoreBatch(nil, specs, 1, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, spec := range specs {
-		want, err := ScoreMulti(nil, spec.Class, 1, Options{}, spec.Lengths)
+// perLengthMax is the brute-force oracle of a chain database's score:
+// Score on the class's WithLength view at every length, the first
+// maximum σ kept.
+func perLengthMax(t *testing.T, class markov.Class, eps float64, lengths []int) core.ChainScore {
+	t.Helper()
+	var best core.ChainScore
+	for i, l := range lengths {
+		sc, err := Score(nil, core.WithLength(class, l), eps, Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
-		if batch[i] != want {
-			t.Errorf("spec %d: batch %+v != ScoreMulti %+v", i, batch[i], want)
+		if i == 0 || sc.Sigma > best.Sigma {
+			best = sc
+		}
+	}
+	return best
+}
+
+// chainMember is a chain database's member of a ScoreBatch call.
+func chainMember(t *testing.T, class markov.Class, lengths []int) []core.Substrate {
+	t.Helper()
+	subs, err := ChainSubstrates(class, lengths)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return subs
+}
+
+// TestScoreMultiAndBatch: every chain member of a batch must match the
+// brute-force per-length oracle bit for bit, and all-duplicate members
+// must cost one sweep per (cell, distinct length).
+func TestScoreMultiAndBatch(t *testing.T) {
+	classA := fig4Class(t, 6, 2)
+	classB := threeStateClass(t, 5)
+	type spec struct {
+		class   markov.Class
+		lengths []int
+	}
+	specs := []spec{
+		{classA, []int{3, 6, 3}},
+		{classB, []int{5, 2}},
+		{classA, []int{3, 6}}, // same distinct lengths as spec 0
+	}
+	members := make([][]core.Substrate, len(specs))
+	for i, sp := range specs {
+		members[i] = chainMember(t, sp.class, sp.lengths)
+	}
+	batch, err := ScoreBatch(nil, members, 1, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, sp := range specs {
+		if want := perLengthMax(t, sp.class, 1, sp.lengths); batch[i] != want {
+			t.Errorf("member %d: batch %+v != per-length max %+v", i, batch[i], want)
 		}
 	}
 	if batch[0] != batch[2] {
-		t.Errorf("identical specs scored differently: %+v vs %+v", batch[0], batch[2])
+		t.Errorf("identical members scored differently: %+v vs %+v", batch[0], batch[2])
 	}
 
-	// Dedupe accounting: 8 copies of spec 0 cost k cells × 2 distinct
+	// Dedupe accounting: 8 copies of member 0 cost k cells × 2 distinct
 	// lengths misses, total, regardless of the copy count.
-	dup := make([]core.MultiSpec, 8)
+	dup := make([][]core.Substrate, 8)
 	for i := range dup {
-		dup[i] = specs[0]
+		dup[i] = chainMember(t, classA, specs[0].lengths)
 	}
 	cache := core.NewScoreCache()
 	if _, err := ScoreBatch(cache, dup, 1, Options{}); err != nil {
@@ -186,21 +218,27 @@ func TestScoreMultiAndBatch(t *testing.T) {
 	}
 	wantMisses := int64(classA.K() * 2)
 	if misses := cache.Stats().Misses; misses != wantMisses {
-		t.Errorf("8 duplicate specs cost %d sweeps, want %d", misses, wantMisses)
+		t.Errorf("8 duplicate members cost %d sweeps, want %d", misses, wantMisses)
 	}
 
-	// Empty batch and invalid specs.
+	// Empty batch and invalid members.
 	if out, err := ScoreBatch(nil, nil, 1, Options{}); err != nil || out != nil {
 		t.Errorf("empty batch: (%v, %v), want (nil, nil)", out, err)
 	}
-	if _, err := ScoreBatch(nil, []core.MultiSpec{{Class: nil, Lengths: []int{3}}}, 1, Options{}); err == nil {
+	if _, err := ChainSubstrates(nil, []int{3}); err == nil {
 		t.Error("nil class accepted")
 	}
-	if _, err := ScoreBatch(nil, []core.MultiSpec{{Class: classA}}, 1, Options{}); err == nil {
+	if _, err := ChainSubstrates(classA, nil); err == nil {
 		t.Error("empty lengths accepted")
 	}
-	if _, err := ScoreMulti(nil, classA, 1, Options{}, []int{0}); err == nil {
+	if _, err := ChainSubstrates(classA, []int{3, 0}); err == nil {
 		t.Error("zero length accepted")
+	}
+	if _, err := ScoreBatch(nil, [][]core.Substrate{{}}, 1, Options{}); err == nil {
+		t.Error("member without substrates accepted")
+	}
+	if _, err := ScoreBatch(nil, [][]core.Substrate{{nil}}, 1, Options{}); err == nil {
+		t.Error("nil substrate accepted")
 	}
 }
 

@@ -26,10 +26,11 @@ func householdTree(t *testing.T) *bayes.Network {
 	return nw
 }
 
-// TestScoreSubstrateNetwork: a tree-network release scores end to end,
-// the profiles land in the shared cache under the network fingerprint
-// (k misses cold, k hits warm, identical score), and σ follows the
-// k·W∞/ε calibration.
+// TestScoreSubstrateNetwork: a tree-network release scores end to end
+// as a one-substrate member, the profiles land in the shared cache
+// under the network fingerprint (k misses cold, k hits warm, identical
+// score), σ follows the k·W∞/ε calibration, and a batch repeating the
+// network profiles it once.
 func TestScoreSubstrateNetwork(t *testing.T) {
 	sub, err := core.NewNetworkSubstrate([]*bayes.Network{householdTree(t)})
 	if err != nil {
@@ -37,35 +38,51 @@ func TestScoreSubstrateNetwork(t *testing.T) {
 	}
 	cache := core.NewScoreCache()
 	const eps = 0.8
-	cold, err := ScoreSubstrate(cache, sub, eps, Options{Parallelism: 1})
+	member := [][]core.Substrate{{sub}}
+	cold, err := ScoreBatch(cache, member, eps, Options{Parallelism: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if st := cache.Stats(); st.Hits != 0 || st.Misses != int64(sub.K()) {
 		t.Errorf("cold stats = %+v, want 0 hits / %d misses", st, sub.K())
 	}
-	warm, err := ScoreSubstrate(cache, sub, eps, Options{Parallelism: 0})
+	warm, err := ScoreBatch(cache, member, eps, Options{Parallelism: 0})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if st := cache.Stats(); st.Hits != int64(sub.K()) {
 		t.Errorf("warm stats = %+v, want %d hits", st, sub.K())
 	}
-	if cold != warm {
-		t.Errorf("warm score %+v != cold %+v", warm, cold)
+	if cold[0] != warm[0] {
+		t.Errorf("warm score %+v != cold %+v", warm[0], cold[0])
 	}
-	if !(cold.Sigma > 0) {
-		t.Errorf("σ = %v, want > 0", cold.Sigma)
+	score := cold[0]
+	if !(score.Sigma > 0) {
+		t.Errorf("σ = %v, want > 0", score.Sigma)
 	}
-	p, err := CellProfileSubstrate(cache, sub, cold.Node, Options{})
+	p, err := CellProfileSubstrate(cache, sub, score.Node, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if want := float64(sub.K()) * p.WInf / eps; cold.Sigma != want {
-		t.Errorf("σ = %v, want k·W∞/ε = %v", cold.Sigma, want)
+	if want := float64(sub.K()) * p.WInf / eps; score.Sigma != want {
+		t.Errorf("σ = %v, want k·W∞/ε = %v", score.Sigma, want)
 	}
-	if cold.Influence != p.W1 {
-		t.Errorf("Influence = %v, want worst cell's W₁ %v", cold.Influence, p.W1)
+	if score.Influence != p.W1 {
+		t.Errorf("Influence = %v, want worst cell's W₁ %v", score.Influence, p.W1)
+	}
+
+	// Two members carrying the same network dedupe by fingerprint: one
+	// sweep, k misses, no hits.
+	fresh := core.NewScoreCache()
+	twice, err := ScoreBatch(fresh, [][]core.Substrate{{sub}, {sub}}, eps, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if twice[0] != score || twice[1] != score {
+		t.Errorf("batched network scores %+v, want %+v twice", twice, score)
+	}
+	if st := fresh.Stats(); st.Hits != 0 || st.Misses != int64(sub.K()) {
+		t.Errorf("duplicate-network batch stats = %+v, want 0 hits / %d misses", st, sub.K())
 	}
 }
 
@@ -93,14 +110,28 @@ func TestSubstrateCacheIsolation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sNet, err := ScoreSubstrate(cache, sub, 0.7, Options{})
+	net, err := ScoreBatch(cache, [][]core.Substrate{{sub}}, 0.7, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if st := cache.Stats(); st.Hits != 0 || st.Misses != 4 {
 		t.Errorf("stats = %+v, want 0 hits / 4 misses (no cross-kind sharing)", st)
 	}
-	if sChain != sNet {
-		t.Errorf("network score %+v != chain score %+v for the same model", sNet, sChain)
+	if sChain != net[0] {
+		t.Errorf("network score %+v != chain score %+v for the same model", net[0], sChain)
+	}
+
+	// Within one batch, where members dedupe by fingerprint, the two
+	// kinds still never merge.
+	fresh := core.NewScoreCache()
+	both, err := ScoreBatch(fresh, [][]core.Substrate{{core.NewClassSubstrate(class)}, {sub}}, 0.7, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st := fresh.Stats(); st.Hits != 0 || st.Misses != 4 {
+		t.Errorf("mixed batch stats = %+v, want 0 hits / 4 misses", st)
+	}
+	if both[0] != sChain || both[1] != sChain {
+		t.Errorf("mixed batch scores %+v, want %+v twice", both, sChain)
 	}
 }

@@ -1,6 +1,7 @@
 package release
 
 import (
+	"sync"
 	"testing"
 
 	"pufferfish/internal/accounting"
@@ -246,5 +247,81 @@ func TestAccountantLedgerAcrossMechanisms(t *testing.T) {
 	entries := led.Entries()
 	if len(entries) != 4 || entries[0].Mechanism != MechMQMExact || entries[2].Kind != accounting.KindGaussian {
 		t.Errorf("entries = %+v", entries)
+	}
+}
+
+// TestConcurrentAccountingBlocksConsistent: concurrent accounted
+// releases charging one ledger each report a block read in the same
+// critical section as their own charge — every block is exactly the
+// state of a fresh ledger after that many identical charges, and the
+// release counts are the distinct values 1..N.
+func TestConcurrentAccountingBlocksConsistent(t *testing.T) {
+	const workers, perWorker = 8, 50
+	cfg := Config{
+		Epsilon: 0.5, Delta: 1e-6, Mechanism: MechKantorovich,
+		Noise: NoiseGaussian, Smoothing: 0.5, Cache: NewScoreCache(),
+	}
+	entry, err := func() (accounting.Entry, error) {
+		p, err := Prepare(gaussSessions(), cfg)
+		if err != nil {
+			return accounting.Entry{}, err
+		}
+		return p.PlannedEntry()
+	}()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Run(gaussSessions(), cfg); err != nil { // warm the cache
+		t.Fatal(err)
+	}
+
+	cfg.Accountant = accounting.NewLedger(accounting.DefaultDelta)
+	blocks := make([]*AccountingReport, workers*perWorker)
+	errs := make([]error, workers)
+	var wg sync.WaitGroup
+	for w := range workers {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			c := cfg
+			for i := range perWorker {
+				c.Seed = uint64(w*perWorker + i)
+				report, err := Run(gaussSessions(), c)
+				if err != nil {
+					errs[w] = err
+					return
+				}
+				blocks[w*perWorker+i] = report.Accounting
+			}
+		}()
+	}
+	wg.Wait()
+	for _, err := range errs {
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	// want[n] is a fresh ledger's state after n charges of the entry.
+	replay := accounting.NewLedger(accounting.DefaultDelta)
+	want := make([]accounting.State, len(blocks)+1)
+	for n := 1; n <= len(blocks); n++ {
+		if err := replay.Add(entry); err != nil {
+			t.Fatal(err)
+		}
+		want[n] = replay.State()
+	}
+	seen := make([]bool, len(blocks)+1)
+	for i, b := range blocks {
+		n := b.Releases
+		if n < 1 || n > len(blocks) || seen[n] {
+			t.Fatalf("release %d reports count %d (out of range or repeated)", i, n)
+		}
+		seen[n] = true
+		w := want[n]
+		if b.LinearEpsilon != w.LinearEpsilon || b.DeltaSum != w.DeltaSum || b.RDPEpsilon != w.Epsilon || b.Delta != w.Delta {
+			t.Errorf("release %d: block (n=%d, linear %v, Σδ %v, rdp %v) != replay of %d charges (linear %v, Σδ %v, rdp %v)",
+				i, n, b.LinearEpsilon, b.DeltaSum, b.RDPEpsilon, n, w.LinearEpsilon, w.DeltaSum, w.Epsilon)
+		}
 	}
 }

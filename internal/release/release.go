@@ -266,10 +266,11 @@ func ParseSeries(r io.Reader) ([][]int, error) {
 // Prepared is a validated release whose inputs are parsed and whose
 // model (for the quilt mechanisms) is fitted, but whose score and noise
 // have not yet been computed. It is the seam a long-lived server uses:
-// Prepare many requests, schedule their scoring together (e.g. through
-// core.ExactScoreMultiBatch over Class/Lengths), then Finish each with
-// its externally computed score. Run is exactly Prepare + Score +
-// Finish, so the two routes release bit-identical histograms.
+// Prepare many requests, score them together with ScoreBatch (which
+// dedupes identical fitted models across them), then Finish each with
+// its score. Run is exactly Prepare + Score + Finish, and Score is
+// ScoreBatch over one member, so the two routes release bit-identical
+// histograms.
 type Prepared struct {
 	cfg      Config
 	sessions [][]int
@@ -438,11 +439,6 @@ func (p *Prepared) NeedsScore() bool {
 	return false
 }
 
-// Class returns the fitted model class (nil for the DP baselines and
-// for network-substrate releases, which carry no chain model). It is
-// the MultiSpec input for batched scoring.
-func (p *Prepared) Class() markov.Class { return p.class }
-
 // SubstrateKind returns the validated substrate kind ("chain" or
 // "network") — the key a serving layer uses for per-substrate traffic
 // counters.
@@ -453,19 +449,12 @@ func (p *Prepared) SubstrateKind() string {
 	return SubstrateChain
 }
 
-// Lengths returns the session-length multiset, aligned with the
-// sessions passed to Prepare.
-func (p *Prepared) Lengths() []int { return p.lengths }
-
-// Epsilon returns the validated privacy parameter.
-func (p *Prepared) Epsilon() float64 { return p.cfg.Epsilon }
-
 // Mechanism returns the validated mechanism name.
 func (p *Prepared) Mechanism() string { return p.cfg.Mechanism }
 
-// SetParallelism overrides Config.Parallelism for the scoring stage —
-// the hook a serving layer uses to map a granted worker budget onto the
-// engine's pool. The released values are identical at every setting.
+// SetParallelism overrides Config.Parallelism for Score (ScoreBatch
+// takes its worker count as an argument instead). The released values
+// are identical at every setting.
 func (p *Prepared) SetParallelism(n int) { p.cfg.Parallelism = n }
 
 // SetAccountant attaches a Rényi ledger (and its session name) after
@@ -518,28 +507,100 @@ func gaussianEntryRho(eps, delta float64, k int) (float64, error) {
 	return float64(k) * rhoCoord, nil
 }
 
-// Score computes the mechanism's chain score, consulting cfg.Cache
-// (whose methods degrade to the direct scorers when nil). ctx is
-// checked before the sweep starts; a sweep already running is never
-// abandoned half-way, matching the drain semantics of graceful
-// shutdown.
+// Score computes the mechanism's chain score: ScoreBatch over this
+// one member at Config.Parallelism.
 func (p *Prepared) Score(ctx context.Context) (core.ChainScore, error) {
-	if !p.NeedsScore() {
-		return core.ChainScore{}, nil
-	}
-	if err := ctx.Err(); err != nil {
+	scores, err := ScoreBatch(ctx, []*Prepared{p}, p.cfg.Parallelism)
+	if err != nil {
 		return core.ChainScore{}, err
 	}
-	switch p.cfg.Mechanism {
-	case MechMQMExact:
-		return p.cfg.Cache.ExactScoreMulti(p.class, p.cfg.Epsilon, core.ExactOptions{Parallelism: p.cfg.Parallelism}, p.lengths)
-	case MechKantorovich:
-		if p.sub != nil {
-			return kantorovich.ScoreSubstrate(p.cfg.Cache, p.sub, p.cfg.Epsilon, kantorovich.Options{Parallelism: p.cfg.Parallelism})
-		}
-		return kantorovich.ScoreMulti(p.cfg.Cache, p.class, p.cfg.Epsilon, kantorovich.Options{Parallelism: p.cfg.Parallelism}, p.lengths)
+	return scores[0], nil
+}
+
+// ScoreBatch computes the chain score of every member that needs one
+// (NeedsScore; the others get a zero score), and is the one place a
+// mechanism maps to an engine scoring call. Members are grouped by
+// (mechanism, ε, cache), the groups taken in order of their first
+// member, and each group is scored by one batched engine call that
+// scores identical fitted models — at one session length, or one
+// network — once, across members. parallelism is every engine call's
+// worker count (0 = all CPUs); the scores are identical at every
+// setting and align with members. ctx is checked before scoring
+// starts; a sweep already running is never abandoned half-way,
+// matching the drain semantics of graceful shutdown.
+func ScoreBatch(ctx context.Context, members []*Prepared, parallelism int) ([]core.ChainScore, error) {
+	type group struct {
+		members []*Prepared
+		index   []int // positions of members in the batch
 	}
-	return p.cfg.Cache.ApproxScoreMulti(p.class, p.cfg.Epsilon, core.ApproxOptions{Parallelism: p.cfg.Parallelism}, p.lengths)
+	var groups []*group
+	for i, p := range members {
+		if !p.NeedsScore() {
+			continue
+		}
+		var g *group
+		for _, cand := range groups {
+			if q := cand.members[0]; q.cfg.Mechanism == p.cfg.Mechanism && q.cfg.Cache == p.cfg.Cache &&
+				math.Float64bits(q.cfg.Epsilon) == math.Float64bits(p.cfg.Epsilon) {
+				g = cand
+				break
+			}
+		}
+		if g == nil {
+			g = &group{}
+			groups = append(groups, g)
+		}
+		g.members = append(g.members, p)
+		g.index = append(g.index, i)
+	}
+	scores := make([]core.ChainScore, len(members))
+	if len(groups) == 0 {
+		return scores, nil
+	}
+	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
+	for _, g := range groups {
+		got, err := scoreGroup(g.members, parallelism)
+		if err != nil {
+			return nil, err
+		}
+		for j, i := range g.index {
+			scores[i] = got[j]
+		}
+	}
+	return scores, nil
+}
+
+// scoreGroup makes the engine call for members sharing a mechanism, ε
+// and cache: the multi-length quilt scorers over each member's fitted
+// class and session lengths, or the Kantorovich scorer over each
+// member's substrates (its network, or one chain view per distinct
+// session length).
+func scoreGroup(members []*Prepared, parallelism int) ([]core.ChainScore, error) {
+	cfg := members[0].cfg
+	if cfg.Mechanism == MechKantorovich {
+		subs := make([][]core.Substrate, len(members))
+		for j, p := range members {
+			if p.sub != nil {
+				subs[j] = []core.Substrate{p.sub}
+				continue
+			}
+			var err error
+			if subs[j], err = kantorovich.ChainSubstrates(p.class, p.lengths); err != nil {
+				return nil, err
+			}
+		}
+		return kantorovich.ScoreBatch(cfg.Cache, subs, cfg.Epsilon, kantorovich.Options{Parallelism: parallelism})
+	}
+	specs := make([]core.MultiSpec, len(members))
+	for j, p := range members {
+		specs[j] = core.MultiSpec{Class: p.class, Lengths: p.lengths}
+	}
+	if cfg.Mechanism == MechMQMExact {
+		return core.ExactScoreMultiBatch(cfg.Cache, specs, cfg.Epsilon, core.ExactOptions{Parallelism: parallelism})
+	}
+	return core.ApproxScoreMultiBatch(cfg.Cache, specs, cfg.Epsilon, core.ApproxOptions{Parallelism: parallelism})
 }
 
 // FinishContext is Finish with a cancellation check first — the last
@@ -556,8 +617,8 @@ func (p *Prepared) FinishContext(ctx context.Context, score core.ChainScore) (*R
 }
 
 // Finish adds the mechanism's noise and assembles the report. For the
-// quilt mechanisms score must come from Score (or an equivalent batched
-// computation over Class/Lengths); the DP baselines ignore it.
+// scored mechanisms score must come from Score or ScoreBatch; the DP
+// baselines ignore it.
 func (p *Prepared) Finish(score core.ChainScore) (*Report, error) {
 	return p.finish(context.Background(), score)
 }
@@ -704,7 +765,9 @@ func (p *Prepared) applyNoise(report *Report, score core.ChainScore, q query.Rel
 }
 
 // account records the finished release into cfg.Accountant and fills
-// the report's Accounting block. It runs after the noise is drawn and
+// the report's Accounting block from the ledger state read in the same
+// critical section as the charge, so a concurrent charge to the same
+// session cannot tear the block. It runs after the noise is drawn and
 // never touches the rng, so accounted and unaccounted releases are
 // bit-identical for a fixed seed.
 func (p *Prepared) account(report *Report, entry accounting.Entry) error {
@@ -712,10 +775,7 @@ func (p *Prepared) account(report *Report, entry accounting.Entry) error {
 	if led == nil {
 		return nil
 	}
-	if err := led.Add(entry); err != nil {
-		return err
-	}
-	rdp, err := led.Epsilon(led.Delta())
+	st, err := led.Charge(entry)
 	if err != nil {
 		return err
 	}
@@ -724,11 +784,11 @@ func (p *Prepared) account(report *Report, entry accounting.Entry) error {
 		Kind:          entry.Kind,
 		Rho:           entry.Rho,
 		Curve:         accounting.EntryCurve(entry, accounting.ReportAlphas),
-		Releases:      led.Count(),
-		LinearEpsilon: led.LinearEpsilon(),
-		DeltaSum:      led.DeltaSum(),
-		Delta:         led.Delta(),
-		RDPEpsilon:    rdp,
+		Releases:      st.Releases,
+		LinearEpsilon: st.LinearEpsilon,
+		DeltaSum:      st.DeltaSum,
+		Delta:         st.Delta,
+		RDPEpsilon:    st.Epsilon,
 	}
 	return nil
 }

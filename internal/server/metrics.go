@@ -1,6 +1,7 @@
 package server
 
 import (
+	"maps"
 	"time"
 
 	"pufferfish/internal/accounting"
@@ -128,57 +129,42 @@ func newServerMetrics(s *Server, reg *obs.Registry) *serverMetrics {
 	reg.Collect("pufferd_accountant_epsilon",
 		"Cumulative RDP-optimized ε per accountant session.", "gauge",
 		[]string{"session"}, func(emit func([]string, float64)) {
-			for _, a := range s.accountantSamples() {
-				emit([]string{a.name}, a.eps)
+			for name, a := range s.accountantStates() {
+				emit([]string{name}, a.Epsilon)
 			}
 		})
 	reg.Collect("pufferd_accountant_delta",
 		"The δ at which each session's ε is quoted.", "gauge",
 		[]string{"session"}, func(emit func([]string, float64)) {
-			for _, a := range s.accountantSamples() {
-				emit([]string{a.name}, a.delta)
+			for name, a := range s.accountantStates() {
+				emit([]string{name}, a.Delta)
 			}
 		})
 	reg.Collect("pufferd_accountant_releases_total",
 		"Releases charged to each accountant session.", "counter",
 		[]string{"session"}, func(emit func([]string, float64)) {
-			for _, a := range s.accountantSamples() {
-				emit([]string{a.name}, a.releases)
+			for name, a := range s.accountantStates() {
+				emit([]string{name}, float64(a.Releases))
 			}
 		})
 	return m
 }
 
-// accountantSample is one session's scrape-time reading.
-type accountantSample struct {
-	name       string
-	eps, delta float64
-	releases   float64
-}
-
-// accountantSamples snapshots every named session for the accountant
-// collectors, sorted by name. Ledger pointers are copied under amu and
-// the ε conversions run outside it — each ledger is internally
-// synchronized and a cold conversion can do an α-grid scan.
-func (s *Server) accountantSamples() []accountantSample {
+// accountantStates reads every named session's budget for /v1/stats
+// and the accountant collectors. Ledger pointers are copied under amu;
+// each ledger's State — one locked read, so its figures never mix two
+// ledger states — is taken outside it, since a cold ε conversion can do
+// an α-grid scan.
+func (s *Server) accountantStates() map[string]accounting.State {
 	s.amu.Lock()
-	names := make([]string, 0, len(s.accountants))
-	for name := range s.accountants {
-		names = append(names, name)
-	}
-	leds := make([]*accounting.Ledger, 0, len(names))
-	for _, name := range names {
-		leds = append(leds, s.accountants[name])
-	}
+	leds := maps.Clone(s.accountants)
 	s.amu.Unlock()
-	out := make([]accountantSample, len(names))
-	for i, led := range leds {
-		out[i] = accountantSample{
-			name:     names[i],
-			eps:      led.TotalEpsilon(),
-			delta:    led.Delta(),
-			releases: float64(led.Count()),
-		}
+	if len(leds) == 0 {
+		return nil
+	}
+	out := make(map[string]accounting.State, len(leds))
+	for name, led := range leds {
+		out[name] = led.State()
 	}
 	return out
 }

@@ -73,7 +73,8 @@ func TestCeilingRefusedBeforeScoring(t *testing.T) {
 		}
 	}
 	admitted := scored.Load()
-	resp, body := postJSON(t, ts.Client(), ts.URL+"/v1/release", req)
+	// Refused alone and as a batch of one, both before scoring.
+	resp, body := postBoth(t, ts.Client(), ts.URL, mustJSON(t, req))
 	if resp.StatusCode != http.StatusForbidden {
 		t.Fatalf("over-ceiling release: %d %s", resp.StatusCode, body)
 	}
@@ -81,16 +82,18 @@ func TestCeilingRefusedBeforeScoring(t *testing.T) {
 		t.Fatal("refused release reached the scoring stage")
 	}
 	st := getStats(t, ts.Client(), ts.URL)
-	if st.BudgetRefusals != 1 {
-		t.Fatalf("budget_refusals = %d, want 1", st.BudgetRefusals)
+	if st.BudgetRefusals != 2 {
+		t.Fatalf("budget_refusals = %d, want 2", st.BudgetRefusals)
 	}
 	if got := st.Accountants["capped"].Releases; got != 2 {
 		t.Fatalf("refused release charged the session: %d releases", got)
 	}
 
-	// A batch that jointly breaches the ceiling is refused whole, up
-	// front — no member is scored or charged.
-	batch := BatchRequest{Requests: []ReleaseRequest{req}}
+	// A batch whose members each fit the ceiling but jointly breach it
+	// is refused whole, up front — no member is scored or charged.
+	fresh := req
+	fresh.Accountant = "joint"
+	batch := BatchRequest{Requests: []ReleaseRequest{fresh, fresh, fresh}}
 	resp, body = postJSON(t, ts.Client(), ts.URL+"/v1/release/batch", batch)
 	if resp.StatusCode != http.StatusForbidden {
 		t.Fatalf("over-ceiling batch: %d %s", resp.StatusCode, body)
@@ -98,7 +101,7 @@ func TestCeilingRefusedBeforeScoring(t *testing.T) {
 	if scored.Load() != admitted {
 		t.Fatal("refused batch reached the scoring stage")
 	}
-	if st := getStats(t, ts.Client(), ts.URL); st.Accountants["capped"].Releases != 2 {
+	if st := getStats(t, ts.Client(), ts.URL); st.Accountants["joint"].Releases != 0 {
 		t.Fatal("refused batch charged the session")
 	}
 }
@@ -173,8 +176,8 @@ func TestQueueShedding(t *testing.T) {
 		defer s.budget.mu.Unlock()
 		return s.budget.waiting == 1
 	})
-	// ...the next is shed immediately.
-	resp, body := postJSON(t, ts.Client(), ts.URL+"/v1/release", req)
+	// ...the next is shed immediately, alone or as a batch of one.
+	resp, body := postBoth(t, ts.Client(), ts.URL, mustJSON(t, req))
 	if resp.StatusCode != http.StatusTooManyRequests {
 		t.Fatalf("saturated request: %d %s", resp.StatusCode, body)
 	}
@@ -185,8 +188,8 @@ func TestQueueShedding(t *testing.T) {
 	if r := <-done; r.status != http.StatusOK {
 		t.Fatalf("queued request after drain: %d %s", r.status, r.body)
 	}
-	if st := getStats(t, ts.Client(), ts.URL); st.ShedTotal != 1 {
-		t.Fatalf("shed_total = %d, want 1", st.ShedTotal)
+	if st := getStats(t, ts.Client(), ts.URL); st.ShedTotal != 2 {
+		t.Fatalf("shed_total = %d, want 2", st.ShedTotal)
 	}
 }
 
@@ -203,17 +206,17 @@ func TestRequestTimeout(t *testing.T) {
 		Series: accountantSeries, Epsilon: 1,
 		Mechanism: release.MechMQMExact, Smoothing: 0.5, Seed: 1,
 	}
-	if resp, body := postJSON(t, ts.Client(), ts.URL+"/v1/release", scoring); resp.StatusCode != http.StatusServiceUnavailable {
+	if resp, body := postBoth(t, ts.Client(), ts.URL, mustJSON(t, scoring)); resp.StatusCode != http.StatusServiceUnavailable {
 		t.Fatalf("timed-out scoring request: %d %s", resp.StatusCode, body)
 	}
 	direct := ReleaseRequest{
 		Series: accountantSeries, Epsilon: 1,
 		Mechanism: release.MechDP, Seed: 1, Accountant: "late",
 	}
-	if resp, body := postJSON(t, ts.Client(), ts.URL+"/v1/release", direct); resp.StatusCode != http.StatusServiceUnavailable {
+	if resp, body := postBoth(t, ts.Client(), ts.URL, mustJSON(t, direct)); resp.StatusCode != http.StatusServiceUnavailable {
 		t.Fatalf("timed-out direct request: %d %s", resp.StatusCode, body)
 	}
-	// The aborted request never charged its session.
+	// The aborted requests never charged their session.
 	if st := getStats(t, ts.Client(), ts.URL); st.Accountants["late"].Releases != 0 {
 		t.Fatal("timed-out request charged the ledger")
 	}

@@ -7,8 +7,11 @@
 //	POST /v1/release        one release (sessions or raw series text)
 //	POST /v1/release/batch  many releases, scored through one batched
 //	                        engine pass that dedupes identical fitted
-//	                        models across requests
+//	                        models and networks across requests
 //	GET  /v1/stats          cache traffic, worker budget, uptime
+//
+// Both release endpoints run one pipeline; /v1/release is a batch of
+// one that answers with the bare Report.
 //
 // Responses are exactly release.Run's Report: N concurrent requests
 // with the same seed and config release bit-identical histograms to
@@ -24,8 +27,8 @@ import (
 	"fmt"
 	"io"
 	"log/slog"
+	"math"
 	"net/http"
-	"sort"
 	"strconv"
 	"strings"
 	"sync"
@@ -36,7 +39,6 @@ import (
 	"pufferfish/internal/accounting/wal"
 	"pufferfish/internal/bayes"
 	"pufferfish/internal/core"
-	"pufferfish/internal/kantorovich"
 	"pufferfish/internal/obs"
 	"pufferfish/internal/release"
 )
@@ -307,8 +309,8 @@ func (s *Server) Cache() *release.ScoreCache { return s.cache }
 // Handler returns the HTTP routes.
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
-	mux.HandleFunc("POST /v1/release", s.instrument("release", true, s.handleRelease))
-	mux.HandleFunc("POST /v1/release/batch", s.instrument("batch", true, s.handleBatch))
+	mux.HandleFunc("POST /v1/release", s.instrument("release", true, s.handleReleases(false)))
+	mux.HandleFunc("POST /v1/release/batch", s.instrument("batch", true, s.handleReleases(true)))
 	mux.HandleFunc("GET /v1/stats", s.instrument("stats", false, s.handleStats))
 	mux.HandleFunc("GET /v1/traces/recent", s.instrument("traces", false, s.handleTraces))
 	mux.HandleFunc("GET /metrics", s.instrument("metrics", false, s.reg.Handler().ServeHTTP))
@@ -616,87 +618,143 @@ func (s *Server) requestContext(r *http.Request) (context.Context, context.Cance
 	return r.Context(), func() {}
 }
 
-// checkCeiling runs the pre-scoring budget check for one prepared
-// request: the exact entry Finish will charge is simulated against
-// the session's ceiling, so a doomed release is refused before any
-// scoring work. led may be nil (unaccounted request).
-func (s *Server) checkCeiling(p *release.Prepared, led *accounting.Ledger) error {
-	if led == nil {
-		return nil
-	}
-	planned, err := p.PlannedEntry()
-	if err != nil {
-		return err
-	}
-	if err := led.CheckCharge(planned); err != nil {
-		if errors.Is(err, accounting.ErrCeilingExceeded) {
-			s.budgetRefusals.Add(1)
+// handleReleases serves both release endpoints through one pipeline:
+// decode → prepare each member → ceiling check over the whole batch →
+// one worker grant → release.ScoreBatch → finish each → encode. POST
+// /v1/release (batch == false) is a batch of one: it answers with the
+// bare Report, traces its mechanism, substrate and session, and its
+// errors carry no member index.
+func (s *Server) handleReleases(batch bool) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		s.inFlight.Add(1)
+		defer s.inFlight.Add(-1)
+		s.requests.Add(1)
+
+		ctx, cancel := s.requestContext(r)
+		defer cancel()
+		reqs, err := decodeReleases(w, r, batch)
+		if err != nil {
+			httpError(w, http.StatusBadRequest, err)
+			return
 		}
-		return err
+		member := func(i int, err error) error {
+			if batch {
+				return fmt.Errorf("request %d: %w", i, err)
+			}
+			return err
+		}
+		prepared := make([]*release.Prepared, len(reqs))
+		ledgers := make([]*accounting.Ledger, len(reqs))
+		for i := range reqs {
+			prepared[i], ledgers[i], err = s.prepare(ctx, &reqs[i])
+			if err != nil {
+				httpError(w, prepareErrStatus(err), member(i, err))
+				return
+			}
+		}
+		tr := obs.TraceFrom(ctx)
+		if batch {
+			tr.SetAttr("batch_size", strconv.Itoa(len(reqs)))
+		} else {
+			tr.SetAttr("mechanism", prepared[0].Mechanism())
+			tr.SetAttr("substrate", prepared[0].SubstrateKind())
+			if reqs[0].Accountant != "" {
+				tr.SetAttr("session", reqs[0].Accountant)
+			}
+		}
+		_, csp := obs.StartSpan(ctx, "ceiling")
+		err = s.checkBatchCeilings(prepared, ledgers, member)
+		csp.EndErr(err)
+		if err != nil {
+			httpError(w, chargeErrStatus(err), err)
+			return
+		}
+		if s.scoringHook != nil {
+			s.scoringHook()
+		}
+		scores := make([]core.ChainScore, len(prepared))
+		if want, ok := workerAsk(reqs, prepared); ok {
+			_, wsp := obs.StartSpan(ctx, "wait")
+			grant, err := s.budget.acquire(ctx, want)
+			wsp.EndErr(err)
+			if err != nil {
+				s.acquireError(w, err)
+				return
+			}
+			// One "score" span covers the whole batch: the grouped
+			// engine passes dedupe across members, so per-member
+			// attribution would be fiction.
+			_, ssp := obs.StartSpan(ctx, "score")
+			scores, err = release.ScoreBatch(ctx, prepared, grant)
+			ssp.EndErr(err)
+			s.budget.release(grant)
+			if err != nil {
+				httpError(w, scoreErrStatus(err), err)
+				return
+			}
+		}
+		reports := make([]*release.Report, len(prepared))
+		for i, p := range prepared {
+			reports[i], err = p.FinishContext(ctx, scores[i])
+			if err != nil {
+				// Earlier members of the batch already charged their
+				// accountant sessions. That is deliberate: their noisy
+				// histograms were computed, and privacy accounting
+				// charges at computation, not delivery — under-counting
+				// on a partial failure would be the unsafe direction. A
+				// client retrying a failed batch with the same session
+				// pays again.
+				httpError(w, s.finishErrStatus(err), member(i, err))
+				return
+			}
+		}
+		s.releases.Add(int64(len(reports)))
+		for _, p := range prepared {
+			s.countRelease(p.Mechanism(), p.SubstrateKind())
+		}
+		if batch {
+			writeJSON(w, BatchResponse{Reports: reports})
+		} else {
+			writeJSON(w, reports[0])
+		}
 	}
-	return nil
 }
 
-func (s *Server) handleRelease(w http.ResponseWriter, r *http.Request) {
-	s.inFlight.Add(1)
-	defer s.inFlight.Add(-1)
-	s.requests.Add(1)
+// decodeReleases reads a release body's members: a batch's requests,
+// or a single request as a batch of one.
+func decodeReleases(w http.ResponseWriter, r *http.Request, batch bool) ([]ReleaseRequest, error) {
+	if !batch {
+		reqs := make([]ReleaseRequest, 1)
+		if err := decodeJSON(w, r, &reqs[0]); err != nil {
+			return nil, err
+		}
+		return reqs, nil
+	}
+	var b BatchRequest
+	if err := decodeJSON(w, r, &b); err != nil {
+		return nil, err
+	}
+	if len(b.Requests) == 0 {
+		return nil, errors.New("empty batch")
+	}
+	return b.Requests, nil
+}
 
-	ctx, cancel := s.requestContext(r)
-	defer cancel()
-	var req ReleaseRequest
-	if err := decodeJSON(w, r, &req); err != nil {
-		httpError(w, http.StatusBadRequest, err)
-		return
-	}
-	p, led, err := s.prepare(ctx, &req)
-	if err != nil {
-		httpError(w, prepareErrStatus(err), err)
-		return
-	}
-	tr := obs.TraceFrom(ctx)
-	tr.SetAttr("mechanism", p.Mechanism())
-	tr.SetAttr("substrate", p.SubstrateKind())
-	if req.Accountant != "" {
-		tr.SetAttr("session", req.Accountant)
-	}
-	_, csp := obs.StartSpan(ctx, "ceiling")
-	err = s.checkCeiling(p, led)
-	csp.EndErr(err)
-	if err != nil {
-		httpError(w, chargeErrStatus(err), err)
-		return
-	}
-	if s.scoringHook != nil {
-		s.scoringHook()
-	}
-	var score core.ChainScore
-	if p.NeedsScore() {
-		_, wsp := obs.StartSpan(ctx, "wait")
-		grant, err := s.budget.acquire(ctx, req.Parallelism)
-		wsp.EndErr(err)
-		if err != nil {
-			s.acquireError(w, err)
-			return
+// workerAsk is a batch's worker ask: the largest ask among the members
+// that need a score, where an unbounded ask (≤ 0) asks for everything
+// free. ok is false when no member needs a score.
+func workerAsk(reqs []ReleaseRequest, prepared []*release.Prepared) (want int, ok bool) {
+	for i, p := range prepared {
+		if !p.NeedsScore() {
+			continue
 		}
-		p.SetParallelism(grant)
-		_, ssp := obs.StartSpan(ctx, "score")
-		score, err = p.Score(ctx)
-		ssp.EndErr(err)
-		s.budget.release(grant)
-		if err != nil {
-			httpError(w, scoreErrStatus(err), err)
-			return
+		ask := reqs[i].Parallelism
+		if ask <= 0 {
+			ask = math.MaxInt
 		}
+		want, ok = max(want, ask), true
 	}
-	report, err := p.FinishContext(ctx, score)
-	if err != nil {
-		httpError(w, s.finishErrStatus(err), err)
-		return
-	}
-	s.releases.Add(1)
-	s.countRelease(p.Mechanism(), p.SubstrateKind())
-	writeJSON(w, report)
+	return want, ok
 }
 
 // acquireError writes a failed budget wait: a shed request gets 429
@@ -767,79 +825,14 @@ func (s *Server) countRelease(mech, substrate string) {
 	s.metrics.releases.With(mech, substrate).Inc()
 }
 
-func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
-	s.inFlight.Add(1)
-	defer s.inFlight.Add(-1)
-	s.requests.Add(1)
-
-	ctx, cancel := s.requestContext(r)
-	defer cancel()
-	var batch BatchRequest
-	if err := decodeJSON(w, r, &batch); err != nil {
-		httpError(w, http.StatusBadRequest, err)
-		return
-	}
-	if len(batch.Requests) == 0 {
-		httpError(w, http.StatusBadRequest, errors.New("empty batch"))
-		return
-	}
-	prepared := make([]*release.Prepared, len(batch.Requests))
-	ledgers := make([]*accounting.Ledger, len(batch.Requests))
-	for i := range batch.Requests {
-		p, led, err := s.prepare(ctx, &batch.Requests[i])
-		if err != nil {
-			httpError(w, prepareErrStatus(err), fmt.Errorf("request %d: %w", i, err))
-			return
-		}
-		prepared[i] = p
-		ledgers[i] = led
-	}
-	obs.TraceFrom(ctx).SetAttr("batch_size", strconv.Itoa(len(batch.Requests)))
-	_, csp := obs.StartSpan(ctx, "ceiling")
-	err := s.checkBatchCeilings(prepared, ledgers)
-	csp.EndErr(err)
-	if err != nil {
-		httpError(w, chargeErrStatus(err), err)
-		return
-	}
-	if s.scoringHook != nil {
-		s.scoringHook()
-	}
-	scores, status, err := s.scoreBatch(ctx, batch.Requests, prepared)
-	if err != nil {
-		if status == http.StatusTooManyRequests {
-			w.Header().Set("Retry-After", "1")
-		}
-		httpError(w, status, err)
-		return
-	}
-	resp := BatchResponse{Reports: make([]*release.Report, len(prepared))}
-	for i, p := range prepared {
-		report, err := p.FinishContext(ctx, scores[i])
-		if err != nil {
-			// Earlier members of the batch already charged their
-			// accountant sessions. That is deliberate: their noisy
-			// histograms were computed, and privacy accounting charges
-			// at computation, not delivery — under-counting on a
-			// partial failure would be the unsafe direction. A client
-			// retrying a failed batch with the same session pays again.
-			httpError(w, s.finishErrStatus(err), fmt.Errorf("request %d: %w", i, err))
-			return
-		}
-		resp.Reports[i] = report
-	}
-	s.releases.Add(int64(len(resp.Reports)))
-	for _, p := range prepared {
-		s.countRelease(p.Mechanism(), p.SubstrateKind())
-	}
-	writeJSON(w, resp)
-}
-
 // checkBatchCeilings runs the pre-scoring budget check for a whole
-// batch, cumulatively per session: a batch whose members individually
-// fit the ceiling but jointly breach it is refused up front, because
-// Finish would charge them in sequence and strand the batch half-way.
-func (s *Server) checkBatchCeilings(prepared []*release.Prepared, ledgers []*accounting.Ledger) error {
+// batch, cumulatively per session: the exact entries Finish will charge
+// are simulated against each session's ceiling, so a doomed release is
+// refused before any scoring work, and a batch whose members
+// individually fit the ceiling but jointly breach it is refused up
+// front rather than stranded half-way through Finish. member labels a
+// member's error with its position.
+func (s *Server) checkBatchCeilings(prepared []*release.Prepared, ledgers []*accounting.Ledger, member func(int, error) error) error {
 	planned := map[*accounting.Ledger][]accounting.Entry{}
 	for i, led := range ledgers {
 		if led == nil {
@@ -847,7 +840,7 @@ func (s *Server) checkBatchCeilings(prepared []*release.Prepared, ledgers []*acc
 		}
 		e, err := prepared[i].PlannedEntry()
 		if err != nil {
-			return fmt.Errorf("request %d: %w", i, err)
+			return member(i, err)
 		}
 		planned[led] = append(planned[led], e)
 	}
@@ -860,97 +853,6 @@ func (s *Server) checkBatchCeilings(prepared []*release.Prepared, ledgers []*acc
 		}
 	}
 	return nil
-}
-
-// scoreBatch computes the quilt scores of every prepared request that
-// needs one, grouped by (mechanism, ε) and routed through the batched
-// multi-length scorers so identical fitted models dedupe across
-// requests. One worker grant covers the whole batch: the engine fans
-// each group across a single pool of the granted size.
-func (s *Server) scoreBatch(ctx context.Context, reqs []ReleaseRequest, prepared []*release.Prepared) ([]core.ChainScore, int, error) {
-	scores := make([]core.ChainScore, len(prepared))
-	type groupKey struct {
-		mechanism string
-		eps       float64
-	}
-	groups := map[groupKey][]int{}
-	var individual []int // network-substrate members: no Class to dedupe on
-	want := 0
-	for i, p := range prepared {
-		if !p.NeedsScore() {
-			continue
-		}
-		if p.Class() == nil {
-			individual = append(individual, i)
-		} else {
-			key := groupKey{mechanism: p.Mechanism(), eps: p.Epsilon()}
-			groups[key] = append(groups[key], i)
-		}
-		switch ask := reqs[i].Parallelism; {
-		case ask <= 0:
-			want = -1 // one unbounded ask claims everything free
-		case want >= 0 && ask > want:
-			want = ask
-		}
-	}
-	if len(groups) == 0 && len(individual) == 0 {
-		return scores, 0, nil
-	}
-	_, wsp := obs.StartSpan(ctx, "wait")
-	grant, err := s.budget.acquire(ctx, want)
-	wsp.EndErr(err)
-	if err != nil {
-		if errors.Is(err, errShed) {
-			s.shedTotal.Add(1)
-			return nil, http.StatusTooManyRequests, err
-		}
-		return nil, http.StatusServiceUnavailable, err
-	}
-	defer s.budget.release(grant)
-	if err := ctx.Err(); err != nil {
-		return nil, http.StatusServiceUnavailable, err
-	}
-	// One "score" span covers the whole batch's scoring work — the
-	// grouped engine passes dedupe across requests, so per-member
-	// attribution would be fiction.
-	_, ssp := obs.StartSpan(ctx, "score")
-	for key, members := range groups {
-		specs := make([]core.MultiSpec, len(members))
-		for j, i := range members {
-			specs[j] = core.MultiSpec{Class: prepared[i].Class(), Lengths: prepared[i].Lengths()}
-		}
-		var got []core.ChainScore
-		var err error
-		switch key.mechanism {
-		case release.MechMQMExact:
-			got, err = core.ExactScoreMultiBatch(s.cache, specs, key.eps, core.ExactOptions{Parallelism: grant})
-		case release.MechKantorovich:
-			got, err = kantorovich.ScoreBatch(s.cache, specs, key.eps, kantorovich.Options{Parallelism: grant})
-		default:
-			got, err = core.ApproxScoreMultiBatch(s.cache, specs, key.eps, core.ApproxOptions{Parallelism: grant})
-		}
-		if err != nil {
-			ssp.EndErr(err)
-			return nil, scoreErrStatus(err), err
-		}
-		for j, i := range members {
-			scores[i] = got[j]
-		}
-	}
-	// Network-substrate members score one by one under the same grant:
-	// they carry no markov.Class for the multi-length dedupe, but the
-	// shared cache still serves repeated networks across requests.
-	for _, i := range individual {
-		prepared[i].SetParallelism(grant)
-		got, err := prepared[i].Score(ctx)
-		if err != nil {
-			ssp.EndErr(err)
-			return nil, scoreErrStatus(err), err
-		}
-		scores[i] = got
-	}
-	ssp.End()
-	return scores, 0, nil
 }
 
 // scoreErrStatus classifies a scoring failure: a cancelled or timed-out
@@ -1012,30 +914,16 @@ func (s *Server) Stats() Stats {
 			Appends: s.wal.Appends(),
 		}
 	}
-	s.amu.Lock()
-	names := make([]string, 0, len(s.accountants))
-	for name := range s.accountants {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	if len(names) > 0 {
-		st.Accountants = make(map[string]AccountantStats, len(names))
-	}
-	leds := make([]*accounting.Ledger, len(names))
-	for i, name := range names {
-		leds[i] = s.accountants[name]
-	}
-	s.amu.Unlock()
-	// Epsilon conversions run outside amu: they take each ledger's own
-	// lock and can do an α-grid scan on a cold memo.
-	for i, name := range names {
-		led := leds[i]
-		st.Accountants[name] = AccountantStats{
-			Releases:      led.Count(),
-			LinearEpsilon: led.LinearEpsilon(),
-			RDPEpsilon:    led.TotalEpsilon(),
-			Delta:         led.Delta(),
-			DeltaSum:      led.DeltaSum(),
+	if states := s.accountantStates(); len(states) > 0 {
+		st.Accountants = make(map[string]AccountantStats, len(states))
+		for name, a := range states {
+			st.Accountants[name] = AccountantStats{
+				Releases:      a.Releases,
+				LinearEpsilon: a.LinearEpsilon,
+				RDPEpsilon:    a.Epsilon,
+				Delta:         a.Delta,
+				DeltaSum:      a.DeltaSum,
+			}
 		}
 	}
 	return st

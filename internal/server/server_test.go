@@ -49,6 +49,52 @@ func postJSON(t *testing.T, client *http.Client, url string, body any) (*http.Re
 	return resp, out
 }
 
+// postBoth POSTs one release body to /v1/release and, wrapped as a
+// batch of one, to /v1/release/batch. Both endpoints run one pipeline,
+// so the test fails unless they answer with the same status and
+// Retry-After, each with a JSON {error} body on failure. It returns the
+// single endpoint's response and body.
+func postBoth(t *testing.T, client *http.Client, base string, body string) (*http.Response, []byte) {
+	t.Helper()
+	post := func(path, body string) (*http.Response, []byte) {
+		resp, err := client.Post(base+path, "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		out, err := io.ReadAll(resp.Body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if resp.StatusCode != http.StatusOK {
+			var msg map[string]string
+			if err := json.Unmarshal(out, &msg); err != nil || msg["error"] == "" {
+				t.Errorf("%s: error body %q not JSON {error}", path, out)
+			}
+		}
+		return resp, out
+	}
+	single, singleBody := post("/v1/release", body)
+	batch, batchBody := post("/v1/release/batch", `{"requests": [`+body+`]}`)
+	if single.StatusCode != batch.StatusCode {
+		t.Errorf("status: single %d (%s), batch of one %d (%s)", single.StatusCode, singleBody, batch.StatusCode, batchBody)
+	}
+	if a, b := single.Header.Get("Retry-After"), batch.Header.Get("Retry-After"); a != b {
+		t.Errorf("Retry-After: single %q, batch of one %q", a, b)
+	}
+	return single, singleBody
+}
+
+// mustJSON marshals a request body for postBoth.
+func mustJSON(t *testing.T, v any) string {
+	t.Helper()
+	blob, err := json.Marshal(v)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return string(blob)
+}
+
 func getStats(t *testing.T, client *http.Client, base string) Stats {
 	t.Helper()
 	resp, err := client.Get(base + "/v1/stats")
@@ -266,26 +312,16 @@ func TestBadRequests(t *testing.T) {
 		"trailing data":    `{"epsilon": 1, "mechanism": "dp", "series": "0 1"}{"epsilon": 99}`,
 	}
 	for name, body := range cases {
-		resp, err := ts.Client().Post(ts.URL+"/v1/release", "application/json", strings.NewReader(body))
-		if err != nil {
-			t.Fatal(err)
-		}
-		out, _ := io.ReadAll(resp.Body)
-		resp.Body.Close()
-		if resp.StatusCode != http.StatusBadRequest {
+		if resp, out := postBoth(t, ts.Client(), ts.URL, body); resp.StatusCode != http.StatusBadRequest {
 			t.Errorf("%s: status %d, want 400 (%s)", name, resp.StatusCode, out)
-		}
-		var msg map[string]string
-		if err := json.Unmarshal(out, &msg); err != nil || msg["error"] == "" {
-			t.Errorf("%s: error body %q not JSON {error}", name, out)
 		}
 	}
 	// A request that parses but cannot be released — a normal-but-tiny
 	// ε whose noise scale overflows after scoring — is the client's
 	// fault: 422, never a 500 (and never a handler panic).
-	resp422, body422 := postJSON(t, ts.Client(), ts.URL+"/v1/release", ReleaseRequest{
+	resp422, body422 := postBoth(t, ts.Client(), ts.URL, mustJSON(t, ReleaseRequest{
 		Series: strings.Repeat("0 1 ", 20), Epsilon: 1e-307, Mechanism: release.MechMQMExact, Smoothing: 0.5,
-	})
+	}))
 	if resp422.StatusCode != http.StatusUnprocessableEntity {
 		t.Errorf("overflowing noise scale: status %d, want 422 (%s)", resp422.StatusCode, body422)
 	}

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"testing"
 
 	"pufferfish/internal/release"
@@ -97,8 +98,6 @@ func TestNetworkSubstrateBatch(t *testing.T) {
 			t.Errorf("report %d: substrate %q, want %q", i, rep.Substrate, wantKinds[i])
 		}
 	}
-	// The two network requests carry the same model: the second is
-	// served from the cell profiles the first just stored.
 	if br.Reports[0].Histogram[0] == br.Reports[2].Histogram[0] {
 		t.Error("different seeds released identical noise")
 	}
@@ -106,6 +105,29 @@ func TestNetworkSubstrateBatch(t *testing.T) {
 	if st.ReleasesBySubstrate[release.SubstrateNetwork] != 2 || st.ReleasesBySubstrate[release.SubstrateChain] != 1 {
 		t.Errorf("substrate counters: %+v", st.ReleasesBySubstrate)
 	}
+	// The two network requests carry the same model at ε=1, so they
+	// dedupe into one scoring pass with the chain member: k = 2 network
+	// misses, no network hits, plus exactly the chain member's own
+	// cold traffic.
+	chainAlone, err := release.Run(mustSessions(t, chainReq.Series), release.Config{
+		Epsilon: 1, Mechanism: release.MechKantorovich, Smoothing: 0.5, Seed: 3,
+		Cache: release.NewScoreCache(),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := 2 + chainAlone.Cache.Misses; st.Cache.Misses != want || st.Cache.Hits != chainAlone.Cache.Hits {
+		t.Errorf("cache traffic %+v, want %d misses and %d hits (the chain member's alone)", st.Cache, want, chainAlone.Cache.Hits)
+	}
+}
+
+func mustSessions(t *testing.T, series string) [][]int {
+	t.Helper()
+	sessions, err := release.ParseSeries(strings.NewReader(series))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return sessions
 }
 
 // TestNetworkSubstrateRejections: malformed network requests fail with

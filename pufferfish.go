@@ -180,12 +180,14 @@ func ApproxScoreBatch(cache *ScoreCache, classes []Class, eps float64, opt Appro
 // database of independent chains (the class's own T is ignored).
 type MultiSpec = core.MultiSpec
 
-// ExactScoreMultiBatch computes the multi-length MQMExact score of
-// every spec through shared batched engine passes, so identical fitted
-// models at identical lengths — across specs, not just within one —
-// are scored once. cache may be nil; results align with specs and are
-// bit-identical to per-spec sequential scoring. This is the scoring
-// path of the serving layer's batch endpoint.
+// ExactScoreMultiBatch computes MQMExact's σ_max for every spec — a
+// database of independent chains of the given lengths (e.g. the
+// gap-split wear sessions of the activity experiments), all governed
+// by the spec's class — through shared batched engine passes, so
+// identical fitted models at identical lengths, across specs and not
+// just within one, are scored once. cache may be nil; results align
+// with specs and are identical at every parallelism. Score one
+// database by passing one spec.
 func ExactScoreMultiBatch(cache *ScoreCache, specs []MultiSpec, eps float64, opt ExactOptions) ([]ChainScore, error) {
 	return core.ExactScoreMultiBatch(cache, specs, eps, opt)
 }
@@ -193,19 +195,6 @@ func ExactScoreMultiBatch(cache *ScoreCache, specs []MultiSpec, eps float64, opt
 // ApproxScoreMultiBatch is ExactScoreMultiBatch for MQMApprox.
 func ApproxScoreMultiBatch(cache *ScoreCache, specs []MultiSpec, eps float64, opt ApproxOptions) ([]ChainScore, error) {
 	return core.ApproxScoreMultiBatch(cache, specs, eps, opt)
-}
-
-// ExactScoreMulti computes MQMExact's σ_max for a database of
-// independent chains of the given lengths (e.g. the gap-split wear
-// sessions of the activity experiments), all governed by the same
-// class.
-func ExactScoreMulti(class Class, eps float64, opt ExactOptions, lengths []int) (ChainScore, error) {
-	return core.ExactScoreMulti(class, eps, opt, lengths)
-}
-
-// ApproxScoreMulti is ExactScoreMulti for MQMApprox.
-func ApproxScoreMulti(class Class, eps float64, opt ApproxOptions, lengths []int) (ChainScore, error) {
-	return core.ApproxScoreMulti(class, eps, opt, lengths)
 }
 
 // UtilityBound returns the Theorem 4.10 sufficient chain length beyond
@@ -243,18 +232,22 @@ func KantorovichScore(cache *ScoreCache, class Class, eps float64, opt Kantorovi
 	return kantorovich.Score(cache, class, eps, opt)
 }
 
-// KantorovichScoreMulti is KantorovichScore for a database of
-// independent chains with the given session lengths.
-func KantorovichScoreMulti(cache *ScoreCache, class Class, eps float64, opt KantorovichOptions, lengths []int) (ChainScore, error) {
-	return kantorovich.ScoreMulti(cache, class, eps, opt, lengths)
+// KantorovichChainSubstrates returns the substrates a database of
+// independent chains with the given session lengths is scored over:
+// one view of the class per distinct length, ascending. The maximum
+// per-length score is sound for the joint database.
+func KantorovichChainSubstrates(class Class, lengths []int) ([]Substrate, error) {
+	return kantorovich.ChainSubstrates(class, lengths)
 }
 
-// KantorovichScoreBatch scores many multi-length specs through one
-// worker-pool invocation, deduplicating identical (class, length)
-// sweeps across specs. Results align with specs and are bit-identical
-// to per-spec KantorovichScoreMulti calls.
-func KantorovichScoreBatch(cache *ScoreCache, specs []MultiSpec, eps float64, opt KantorovichOptions) ([]ChainScore, error) {
-	return kantorovich.ScoreBatch(cache, specs, eps, opt)
+// KantorovichScoreBatch scores many members through one worker-pool
+// invocation. A member lists the substrates its release is scored over
+// — a chain database's KantorovichChainSubstrates, or one network —
+// and its score is the maximum over them. Identical substrates dedupe
+// by SubstrateFingerprint across members. Results align with members
+// and are identical at every parallelism.
+func KantorovichScoreBatch(cache *ScoreCache, members [][]Substrate, eps float64, opt KantorovichOptions) ([]ChainScore, error) {
+	return kantorovich.ScoreBatch(cache, members, eps, opt)
 }
 
 // ExpMech is the discrete exponential mechanism over a fixed output
@@ -343,13 +336,6 @@ func SubstrateFingerprint(s Substrate) Fingerprint { return core.SubstrateFinger
 // CountInstance is the generic WassersteinInstance of a substrate with
 // the count query F = Σ W[X_pos].
 type CountInstance = core.CountInstance
-
-// KantorovichScoreSubstrate is KantorovichScore for any Substrate —
-// the entry point that releases Bayesian-network secrets through the
-// same transport pipeline and cache as chains.
-func KantorovichScoreSubstrate(cache *ScoreCache, sub Substrate, eps float64, opt KantorovichOptions) (ChainScore, error) {
-	return kantorovich.ScoreSubstrate(cache, sub, eps, opt)
-}
 
 // KantorovichCellProfileSubstrate is KantorovichCellProfile for any
 // Substrate.

@@ -276,18 +276,33 @@ func TestFacadeKantorovichSubsystem(t *testing.T) {
 		t.Errorf("W1 = %v, want 1.5", w)
 	}
 
-	// Multi-length + batch through the facade agree.
-	lengths := []int{3, 8}
-	multi, err := pufferfish.KantorovichScoreMulti(nil, class, 1, pufferfish.KantorovichOptions{}, lengths)
+	// A multi-length batch member through the facade scores the max of
+	// the per-length KantorovichScore results.
+	lengths := []int{8, 3}
+	subs, err := pufferfish.KantorovichChainSubstrates(class, lengths)
 	if err != nil {
 		t.Fatal(err)
 	}
-	batch, err := pufferfish.KantorovichScoreBatch(nil, []pufferfish.MultiSpec{{Class: class, Lengths: lengths}}, 1, pufferfish.KantorovichOptions{})
+	batch, err := pufferfish.KantorovichScoreBatch(nil, [][]pufferfish.Substrate{subs}, 1, pufferfish.KantorovichOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(batch) != 1 || batch[0] != multi {
-		t.Errorf("batch %+v != multi %+v", batch, multi)
+	var want pufferfish.ChainScore
+	for i, l := range []int{3, 8} {
+		lc, err := pufferfish.NewFinite([]pufferfish.Chain{truth}, l)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sc, err := pufferfish.KantorovichScore(nil, lc, 1, pufferfish.KantorovichOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if i == 0 || sc.Sigma > want.Sigma {
+			want = sc
+		}
+	}
+	if len(batch) != 1 || batch[0] != want {
+		t.Errorf("batch %+v != per-length max %+v", batch, want)
 	}
 
 	// Exponential mechanism and the additive noise backends.

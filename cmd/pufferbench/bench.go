@@ -335,7 +335,8 @@ func runBench(quick bool, out string, procs int) error {
 	// score-level fingerprint memo from short-circuiting the scorer, so
 	// the pair measures the table layer, not the memo.
 	incCache := core.NewScoreCache()
-	if _, err := incCache.ExactScore(powClass, 1, core.ExactOptions{Parallelism: 1}); err != nil {
+	incBatch := []markov.Class{powClassT1}
+	if _, err := core.ScoreBatch(incCache, []markov.Class{powClass}, 1, core.ExactOptions{Parallelism: 1}); err != nil {
 		return err
 	}
 	incIter := 0
@@ -369,7 +370,7 @@ func runBench(quick bool, out string, procs int) error {
 			func() error {
 				incIter++
 				eps := 1 + float64(incIter%1024)*1e-12
-				_, err := incCache.ExactScore(powClassT1, eps, core.ExactOptions{Parallelism: 1})
+				_, err := core.ScoreBatch(incCache, incBatch, eps, core.ExactOptions{Parallelism: 1})
 				return err
 			},
 		},

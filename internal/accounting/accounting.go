@@ -43,8 +43,8 @@
 // must use the same quilt sets (core.Composition enforces this) or be
 // calibrated by a W∞ bound over the same instantiation (the
 // Kantorovich releases). The ledger records what its caller feeds it;
-// upholding the hypothesis is the caller's contract, exactly as for
-// Composition.TotalEpsilon.
+// upholding the hypothesis is the caller's contract (core.Composition
+// is one such caller: it charges each of its releases here).
 //
 // # Mechanics
 //
@@ -210,7 +210,7 @@ type Journal interface {
 // + fresh ledger) rather than grown forever.
 type Ledger struct {
 	mu       sync.Mutex
-	delta    float64             // headline δ for TotalEpsilon; fixed at construction
+	delta    float64             // headline δ for State().Epsilon; fixed at construction
 	entries  []Entry             // guarded by mu
 	epsAlpha []float64           // guarded by mu; accumulated curve on defaultAlphas
 	maxEps   float64             // guarded by mu
@@ -231,7 +231,7 @@ type Ledger struct {
 	session string  // guarded by mu
 }
 
-// NewLedger returns an empty ledger whose headline TotalEpsilon
+// NewLedger returns an empty ledger whose headline State().Epsilon
 // reports ε at the given δ (δ <= 0 selects DefaultDelta).
 func NewLedger(delta float64) *Ledger {
 	if !(delta > 0 && delta < 1) {
@@ -405,7 +405,7 @@ type State struct {
 	DeltaSum float64
 	// Delta is the ledger's headline δ.
 	Delta float64
-	// Epsilon is the RDP-optimized ε at Delta (see TotalEpsilon).
+	// Epsilon is the RDP-optimized ε at Delta (see Epsilon).
 	Epsilon float64
 }
 
@@ -554,25 +554,6 @@ func epsilonOf(epsAlpha []float64, n int, maxEps, deltaSum, delta float64) float
 		eps = math.Min(eps, float64(n)*maxEps)
 	}
 	return eps
-}
-
-// TotalEpsilon reports Epsilon at the ledger's headline δ, satisfying
-// core.Accountant so a Ledger plugs into core.Composition. The
-// error-free signature is safe: the headline δ is validated at
-// construction.
-func (l *Ledger) TotalEpsilon() float64 {
-	eps, _ := l.Epsilon(l.delta)
-	return eps
-}
-
-// RecordPure satisfies core.Accountant. The caller (Composition)
-// records only releases that already passed ε validation and
-// succeeded; an entry the ledger would reject at that point is a
-// caller bug, reported by panic like any other broken invariant.
-func (l *Ledger) RecordPure(eps float64) {
-	if err := l.AddPure("", eps); err != nil {
-		panic(fmt.Sprintf("accounting: RecordPure(%v): %v", eps, err))
-	}
 }
 
 // Snapshot is the JSON image of a ledger: the headline δ and the

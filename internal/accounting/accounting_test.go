@@ -31,8 +31,8 @@ func TestSinglePureReleaseIsLinear(t *testing.T) {
 		if got := l.LinearEpsilon(); got != eps {
 			t.Errorf("linear ε = %v, want %v", got, eps)
 		}
-		if got := l.TotalEpsilon(); got != eps {
-			t.Errorf("TotalEpsilon = %v, want %v", got, eps)
+		if got := l.State().Epsilon; got != eps {
+			t.Errorf("State().Epsilon = %v, want %v", got, eps)
 		}
 	}
 }
@@ -143,7 +143,7 @@ func TestPureCompositionNeverWorseThanLinear(t *testing.T) {
 }
 
 // TestHeterogeneousMaxTracking: the linear bound is K·max ε over a
-// mixed sequence, matching core.LinearAccountant's arithmetic.
+// mixed sequence, matching Theorem 4.4's arithmetic.
 func TestHeterogeneousMaxTracking(t *testing.T) {
 	l := NewLedger(1e-5)
 	for _, e := range []float64{0.5, 2, 1} {
@@ -241,21 +241,4 @@ func TestSnapshotRoundTrip(t *testing.T) {
 	if _, err := Restore(corrupt); err == nil {
 		t.Error("NaN ρ snapshot accepted")
 	}
-}
-
-// TestRecordPureAccountantContract: RecordPure matches the Accountant
-// interface semantics (record + headline reporting) and panics on an
-// ε no release path could have validated.
-func TestRecordPureAccountantContract(t *testing.T) {
-	l := NewLedger(1e-5)
-	l.RecordPure(1)
-	if l.Count() != 1 || l.TotalEpsilon() != 1 {
-		t.Errorf("after RecordPure(1): count %d, total %v", l.Count(), l.TotalEpsilon())
-	}
-	defer func() {
-		if recover() == nil {
-			t.Error("RecordPure(-1) did not panic")
-		}
-	}()
-	l.RecordPure(-1)
 }

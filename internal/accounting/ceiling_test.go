@@ -50,7 +50,7 @@ func TestCeilingRefusesOverBudget(t *testing.T) {
 	if l.Count() != 2 {
 		t.Fatalf("refused charge mutated the ledger: %d entries", l.Count())
 	}
-	if got := l.TotalEpsilon(); got > 2.5 {
+	if got := l.State().Epsilon; got > 2.5 {
 		t.Fatalf("ledger over its own ceiling: ε = %v", got)
 	}
 

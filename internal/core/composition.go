@@ -6,6 +6,7 @@ import (
 	"math"
 	"math/rand/v2"
 
+	"pufferfish/internal/accounting"
 	"pufferfish/internal/markov"
 	"pufferfish/internal/query"
 )
@@ -14,7 +15,9 @@ import (
 // database and accounts for the cumulative privacy loss per
 // Theorem 4.4 (sequential composition): K releases at parameters
 // ε_1 … ε_K, made with the same quilt sets S_{Q,i}, satisfy
-// K·max_k ε_k Pufferfish privacy.
+// K·max_k ε_k Pufferfish privacy. Every successful release is charged
+// to an accounting.Ledger, which reports that linear bound alongside
+// the tighter Rényi (ε, δ) of Pierquin et al. (arXiv:2312.13985).
 //
 // Pufferfish in general does not compose (Section 4.3) — the theorem
 // hinges on every release using the same active quilts, which holds
@@ -30,9 +33,9 @@ type Composition struct {
 	// tracked separately from the release history so a release that
 	// fails after scoring (bad data, overflowing scale) cannot leave a
 	// later release at a different ε running on σ(scoreEps) unrescaled.
-	scoreEps   float64
-	cache      *ScoreCache
-	accountant Accountant
+	scoreEps float64
+	cache    *ScoreCache
+	ledger   *accounting.Ledger
 }
 
 // NewExactComposition returns a composition manager whose releases use
@@ -60,30 +63,30 @@ func (c *Composition) WithCache(cache *ScoreCache) *Composition {
 	return c
 }
 
-// WithAccountant replaces the composition's privacy accountant and
-// returns the composition for chaining. The default is a
-// LinearAccountant (Theorem 4.4's K·max ε); an accounting.Ledger
-// substitutes Rényi accounting. Swapping accountants never changes the
-// released values — only how the cumulative loss is reported. A nil
-// accountant restores the default. Swapping after releases have been
-// recorded would silently discard privacy history — the unsafe
-// direction for an accountant — so it panics; choose the accountant
-// before the first Release.
-func (c *Composition) WithAccountant(a Accountant) *Composition {
-	if c.accountant != nil && c.accountant.Count() > 0 {
+// WithAccountant replaces the ledger that releases are charged to and
+// returns the composition for chaining. The default is a fresh ledger
+// at accounting.DefaultDelta, and a nil ledger restores it. The ledger
+// never changes the released values, only how the cumulative loss is
+// reported — unless its ceiling or journal refuses a charge, in which
+// case Release returns that error and no values. Swapping after
+// releases have been recorded would silently discard privacy history,
+// the unsafe direction for an accountant, so it panics; choose the
+// ledger before the first Release.
+func (c *Composition) WithAccountant(led *accounting.Ledger) *Composition {
+	if c.ledger != nil && c.ledger.Count() > 0 {
 		panic("core: WithAccountant after releases were recorded would discard privacy history")
 	}
-	c.accountant = a
+	c.ledger = led
 	return c
 }
 
-// Accountant returns the composition's accountant, constructing the
-// default LinearAccountant on first use.
-func (c *Composition) Accountant() Accountant {
-	if c.accountant == nil {
-		c.accountant = &LinearAccountant{}
+// Accountant returns the ledger releases are charged to, constructing
+// the default on first use.
+func (c *Composition) Accountant() *accounting.Ledger {
+	if c.ledger == nil {
+		c.ledger = accounting.NewLedger(accounting.DefaultDelta)
 	}
-	return c.accountant
+	return c.ledger
 }
 
 // Release publishes one more query at privacy parameter eps. All
@@ -100,18 +103,20 @@ func (c *Composition) Release(data []int, q query.Query, eps float64, rng *rand.
 		return Release{}, errors.New("core: composition has no class")
 	}
 	if c.score == nil {
-		var score ChainScore
+		var scores []ChainScore
 		var err error
-		// c.cache.ExactScore/ApproxScore degrade to the direct scorers
-		// when no cache is attached (nil receiver).
+		// A batch of one: the cache (nil when none is attached) is
+		// consulted first, and the inner pool gets every worker.
+		classes := []markov.Class{c.class}
 		if c.useExact {
-			score, err = c.cache.ExactScore(c.class, eps, c.exactOpt)
+			scores, err = ScoreBatch(c.cache, classes, eps, c.exactOpt)
 		} else {
-			score, err = c.cache.ApproxScore(c.class, eps, ApproxOptions{})
+			scores, err = ApproxScoreBatch(c.cache, classes, eps, ApproxOptions{})
 		}
 		if err != nil {
 			return Release{}, err
 		}
+		score := scores[0]
 		if math.IsInf(score.Sigma, 1) {
 			return Release{}, fmt.Errorf("core: composition inapplicable: σ = ∞")
 		}
@@ -136,24 +141,18 @@ func (c *Composition) Release(data []int, q query.Query, eps float64, rng *rand.
 	if err != nil {
 		return Release{}, err
 	}
-	c.Accountant().RecordPure(eps)
+	// Charge before returning: a release the ledger refuses (ceiling,
+	// journal) is never handed out.
+	if err := c.Accountant().Add(accounting.Entry{Kind: accounting.KindPure, Eps: eps}); err != nil {
+		return Release{}, err
+	}
 	return rel, nil
 }
 
 // Count returns the number of releases made so far.
 func (c *Composition) Count() int { return c.Accountant().Count() }
 
-// TotalEpsilon returns the accountant's cumulative privacy parameter
-// for the releases made so far (0 before any release): K·max_k ε_k
-// under the default Theorem 4.4 LinearAccountant.
-func (c *Composition) TotalEpsilon() float64 { return c.Accountant().TotalEpsilon() }
-
-func floatsMax(xs []float64) float64 {
-	m := xs[0]
-	for _, v := range xs[1:] {
-		if v > m {
-			m = v
-		}
-	}
-	return m
-}
+// TotalEpsilon returns Theorem 4.4's K·max_k ε_k over the releases
+// made so far (0 before any). The ledger's Rényi ε at δ is
+// Accountant().Epsilon(δ).
+func (c *Composition) TotalEpsilon() float64 { return c.Accountant().LinearEpsilon() }

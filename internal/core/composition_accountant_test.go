@@ -1,9 +1,11 @@
 package core
 
 import (
+	"errors"
 	"math/rand/v2"
 	"testing"
 
+	"pufferfish/internal/accounting"
 	"pufferfish/internal/query"
 )
 
@@ -78,10 +80,10 @@ func TestCompositionFailedFirstReleaseRescales(t *testing.T) {
 	}
 }
 
-// TestCompositionAccountantPluggable: the default accountant is the
-// Theorem 4.4 linear one (pre-accountant TotalEpsilon bit-identical),
-// a custom accountant sees exactly the successful releases, and
-// swapping accountants never changes the released values.
+// TestCompositionAccountantPluggable: the default ledger reports the
+// Theorem 4.4 linear total (bit-identical to K·max ε), a caller's
+// ledger is charged exactly the successful releases, and swapping the
+// ledger never changes the released values.
 func TestCompositionAccountantPluggable(t *testing.T) {
 	class := cacheTestClass(t, 0.9, 60)
 	data := make([]int, 60)
@@ -91,8 +93,8 @@ func TestCompositionAccountantPluggable(t *testing.T) {
 	q := query.RelFreqHistogram{K: 2, N: len(data)}
 	epsSeq := []float64{1, 0.5, 2}
 
-	run := func(a Accountant) ([][]float64, *Composition) {
-		comp := NewExactComposition(class, ExactOptions{}).WithAccountant(a)
+	run := func(led *accounting.Ledger) ([][]float64, *Composition) {
+		comp := NewExactComposition(class, ExactOptions{}).WithAccountant(led)
 		rng := rand.New(rand.NewPCG(3, 4))
 		var values [][]float64
 		for _, eps := range epsSeq {
@@ -109,8 +111,8 @@ func TestCompositionAccountantPluggable(t *testing.T) {
 	if got, want := defComp.TotalEpsilon(), 3*2.0; got != want {
 		t.Errorf("default accountant total = %v, want %v", got, want)
 	}
-	if _, ok := defComp.Accountant().(*LinearAccountant); !ok {
-		t.Errorf("default accountant is %T, want *LinearAccountant", defComp.Accountant())
+	if got := defComp.Accountant().Delta(); got != accounting.DefaultDelta {
+		t.Errorf("default ledger δ = %v, want %v", got, accounting.DefaultDelta)
 	}
 
 	// Swapping the accountant after releases would discard history —
@@ -121,25 +123,80 @@ func TestCompositionAccountantPluggable(t *testing.T) {
 				t.Error("WithAccountant after releases did not panic")
 			}
 		}()
-		defComp.WithAccountant(&LinearAccountant{})
+		defComp.WithAccountant(accounting.NewLedger(accounting.DefaultDelta))
 	}()
 
-	lin := &LinearAccountant{}
-	linValues, linComp := run(lin)
-	if lin.Count() != len(epsSeq) || lin.TotalEpsilon() != 6 {
-		t.Errorf("custom linear accountant recorded (K=%d, total=%v)", lin.Count(), lin.TotalEpsilon())
+	led := accounting.NewLedger(1e-6)
+	ledValues, ledComp := run(led)
+	if led.Count() != len(epsSeq) || led.LinearEpsilon() != 6 {
+		t.Errorf("caller's ledger recorded (K=%d, linear=%v)", led.Count(), led.LinearEpsilon())
 	}
-	if got := lin.Epsilons(); len(got) != 3 || got[0] != 1 || got[1] != 0.5 || got[2] != 2 {
-		t.Errorf("recorded epsilons = %v", got)
+	got := led.Entries()
+	if len(got) != 3 || got[0].Eps != 1 || got[1].Eps != 0.5 || got[2].Eps != 2 {
+		t.Errorf("recorded entries = %+v", got)
 	}
-	if linComp.Count() != 3 {
-		t.Errorf("composition count = %d", linComp.Count())
+	for _, e := range got {
+		if e.Kind != accounting.KindPure {
+			t.Errorf("entry kind = %v, want pure", e.Kind)
+		}
+	}
+	if ledComp.Count() != 3 || ledComp.Accountant() != led {
+		t.Errorf("composition count = %d, ledger %p (want %p)", ledComp.Count(), ledComp.Accountant(), led)
 	}
 	for i := range defValues {
 		for j := range defValues[i] {
-			if defValues[i][j] != linValues[i][j] {
+			if defValues[i][j] != ledValues[i][j] {
 				t.Fatalf("release %d differs across accountants", i)
 			}
 		}
+	}
+}
+
+// failingJournal refuses every append, like a full disk under a WAL.
+type failingJournal struct{}
+
+func (failingJournal) Append(string, accounting.Entry) (uint64, error) {
+	return 0, errors.New("disk full")
+}
+func (failingJournal) Applied(uint64) {}
+
+// TestCompositionLedgerRefusal: a release the ledger refuses — over
+// its ceiling, or with a failing journal — comes back as an error
+// with no values and is not counted, instead of panicking after the
+// noise was drawn.
+func TestCompositionLedgerRefusal(t *testing.T) {
+	class := cacheTestClass(t, 0.9, 60)
+	data := make([]int, 60)
+	for i := range data {
+		data[i] = i % 2
+	}
+	q := query.RelFreqHistogram{K: 2, N: len(data)}
+
+	ceilinged := accounting.NewLedger(accounting.DefaultDelta)
+	if err := ceilinged.SetCeiling(1.5, 0); err != nil {
+		t.Fatal(err)
+	}
+	comp := NewExactComposition(class, ExactOptions{}).WithAccountant(ceilinged)
+	rng := rand.New(rand.NewPCG(5, 6))
+	if _, err := comp.Release(data, q, 1, rng); err != nil {
+		t.Fatalf("release under the ceiling: %v", err)
+	}
+	rel, err := comp.Release(data, q, 1, rng)
+	if !errors.Is(err, accounting.ErrCeilingExceeded) {
+		t.Fatalf("over-ceiling release: err = %v, want ErrCeilingExceeded", err)
+	}
+	if rel.Values != nil {
+		t.Errorf("refused release returned values %v", rel.Values)
+	}
+	if comp.Count() != 1 {
+		t.Errorf("refused release was counted: %d", comp.Count())
+	}
+
+	journaled := accounting.NewLedger(accounting.DefaultDelta)
+	journaled.SetJournal(failingJournal{}, "s")
+	comp = NewExactComposition(class, ExactOptions{}).WithAccountant(journaled)
+	rel, err = comp.Release(data, q, 1, rng)
+	if !errors.Is(err, accounting.ErrJournal) || rel.Values != nil || comp.Count() != 0 {
+		t.Errorf("failing journal: err = %v, values %v, count %d", err, rel.Values, comp.Count())
 	}
 }

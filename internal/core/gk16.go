@@ -81,7 +81,7 @@ func gk16Theta(theta markov.Chain, T int, eps float64) (GK16Score, error) {
 		return GK16Score{}, fmt.Errorf("%w (unbounded backward influence)", ErrGK16Inapplicable)
 	}
 
-	snorm := gk16SpectralNorm(gammaF, gammaB, T)
+	snorm := gk16GammaNorm(gammaF, gammaB, T)
 	if snorm >= 1 {
 		return GK16Score{}, fmt.Errorf("%w (‖Γ‖₂ = %.4f)", ErrGK16Inapplicable, snorm)
 	}
@@ -152,7 +152,7 @@ func halfMaxLogRatio(kernel *matrix.Dense) (float64, error) {
 	return worst, nil
 }
 
-// gk16SpectralNorm returns ‖Γ‖₂ for the T×T tridiagonal influence
+// gk16GammaNorm returns ‖Γ‖₂ for the T×T tridiagonal influence
 // matrix with constant bands γ_f (sub-diagonal) and γ_b
 // (super-diagonal).
 //
@@ -165,7 +165,7 @@ func halfMaxLogRatio(kernel *matrix.Dense) (float64, error) {
 // rule of this reconstruction is defined by the (conservative)
 // Toeplitz limit — with the exact cosine correction in the symmetric
 // case.
-func gk16SpectralNorm(gammaF, gammaB float64, T int) float64 {
+func gk16GammaNorm(gammaF, gammaB float64, T int) float64 {
 	limit := gammaF + gammaB
 	if T < 2 {
 		return 0

@@ -300,10 +300,10 @@ func TestScoreCacheIncrementalLengthBitIdentical(t *testing.T) {
 		t.Fatal(err)
 	}
 	cache := NewScoreCache()
-	if _, err := cache.ExactScore(classT, 1, ExactOptions{Parallelism: 1}); err != nil {
+	if _, err := cachedExact(cache, classT, 1, ExactOptions{Parallelism: 1}); err != nil {
 		t.Fatal(err)
 	}
-	got, err := cache.ExactScore(classT1, 1, ExactOptions{Parallelism: 1})
+	got, err := cachedExact(cache, classT1, 1, ExactOptions{Parallelism: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -78,7 +78,7 @@ type ScoreCache struct {
 	hits, misses atomic.Int64
 	// tables holds the per-transition-matrix derived tables (powers,
 	// log-domain influence rows, marginal prefixes) that survive across
-	// ExactScore/ScoreBatch calls, so repeated releases and multi-length
+	// ScoreBatch calls, so repeated releases and multi-length
 	// profiles over the same fitted model extend tables incrementally
 	// instead of rebuilding them. Not persisted: the tables are derived
 	// data, rebuilt (and re-verified against the matrices) on demand.
@@ -200,51 +200,6 @@ func exactKey(fp Fingerprint, eps float64, opt ExactOptions) scoreKey {
 
 func approxKey(fp Fingerprint, eps float64, opt ApproxOptions) scoreKey {
 	return scoreKey{fp: fp, eps: eps, exact: false, maxWidth: opt.MaxWidth, forceFull: opt.ForceFullSweep}
-}
-
-// ExactScore is the memoizing form of the package-level ExactScore:
-// one fingerprint pass replaces the whole sweep on a hit. Errors are
-// never cached.
-func (sc *ScoreCache) ExactScore(class markov.Class, eps float64, opt ExactOptions) (ChainScore, error) {
-	if sc == nil {
-		return ExactScore(class, eps, opt)
-	}
-	if err := validateChainClass(class, eps); err != nil {
-		return ChainScore{}, err
-	}
-	key := exactKey(ClassFingerprint(class), eps, opt)
-	if s, ok := sc.lookup(key); ok {
-		return s, nil
-	}
-	// Miss: score through the cache's persistent table set, so the next
-	// score over the same matrix (same or grown length, different ε)
-	// reuses the influence tables instead of rebuilding them.
-	s, err := exactScoreWith(class, eps, opt, sched.New(opt.Parallelism), sc.tableSet())
-	if err != nil {
-		return s, err
-	}
-	sc.store(key, s)
-	return s, nil
-}
-
-// ApproxScore is the memoizing form of the package-level ApproxScore.
-func (sc *ScoreCache) ApproxScore(class markov.Class, eps float64, opt ApproxOptions) (ChainScore, error) {
-	if sc == nil {
-		return ApproxScore(class, eps, opt)
-	}
-	if err := validateChainClass(class, eps); err != nil {
-		return ChainScore{}, err
-	}
-	key := approxKey(ClassFingerprint(class), eps, opt)
-	if s, ok := sc.lookup(key); ok {
-		return s, nil
-	}
-	s, err := ApproxScore(class, eps, opt)
-	if err != nil {
-		return s, err
-	}
-	sc.store(key, s)
-	return s, nil
 }
 
 // powerCacheSet shares the per-transition-matrix derived tables across

@@ -25,7 +25,7 @@ func TestCacheSnapshotRoundTrip(t *testing.T) {
 	eps := []float64{0.5, 1, 2.25}
 	want := make([]ChainScore, len(eps))
 	for i, e := range eps {
-		s, err := cache.ExactScore(class, e, ExactOptions{})
+		s, err := cachedExact(cache, class, e, ExactOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -58,7 +58,7 @@ func TestCacheSnapshotRoundTrip(t *testing.T) {
 
 	// Every quilt score must be a pure hit with bit-identical values.
 	for i, e := range eps {
-		s, err := restored.ExactScore(class, e, ExactOptions{})
+		s, err := cachedExact(restored, class, e, ExactOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -58,7 +58,7 @@ func TestScoreCacheHitMissCounters(t *testing.T) {
 		t.Fatalf("misses after new ε = %d, want 2", got)
 	}
 	// Different options are a different key too.
-	if _, err := cache.ExactScore(class, 1, ExactOptions{MaxWidth: 7}); err != nil {
+	if _, err := cachedExact(cache, class, 1, ExactOptions{MaxWidth: 7}); err != nil {
 		t.Fatal(err)
 	}
 	if got := cache.Stats().Misses; got != 3 {
@@ -66,7 +66,7 @@ func TestScoreCacheHitMissCounters(t *testing.T) {
 	}
 	// Parallelism is NOT part of the key: the engine is bit-identical
 	// across worker counts, so this must hit.
-	if _, err := cache.ExactScore(class, 1, ExactOptions{Parallelism: 4}); err != nil {
+	if _, err := cachedExact(cache, class, 1, ExactOptions{Parallelism: 4}); err != nil {
 		t.Fatal(err)
 	}
 	if got := cache.Stats().Misses; got != 3 {
@@ -85,7 +85,7 @@ func TestScoreCacheBitIdentical(t *testing.T) {
 			t.Fatal(err)
 		}
 		for i := 0; i < 2; i++ { // miss then hit
-			cached, err := cache.ExactScore(class, eps, ExactOptions{})
+			cached, err := cachedExact(cache, class, eps, ExactOptions{})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -97,7 +97,7 @@ func TestScoreCacheBitIdentical(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		cachedA, err := cache.ApproxScore(class, eps, ApproxOptions{})
+		cachedA, err := cachedApprox(cache, class, eps, ApproxOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}

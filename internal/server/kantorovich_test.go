@@ -127,7 +127,7 @@ func TestCacheFileRoundTrip(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "cache.json")
 
 	// A missing file yields an empty cache, not an error (first boot).
-	empty, err := LoadCacheFile(path)
+	empty, _, err := LoadSnapshotFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -153,12 +153,12 @@ func TestCacheFileRoundTrip(t *testing.T) {
 	if entries == 0 {
 		t.Fatal("no cache entries to persist")
 	}
-	if err := SaveCacheFile(path, first.Cache()); err != nil {
+	if err := SaveSnapshotFile(path, first.Cache(), nil); err != nil {
 		t.Fatal(err)
 	}
 	ts.Close()
 
-	warmCache, err := LoadCacheFile(path)
+	warmCache, _, err := LoadSnapshotFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -196,7 +196,7 @@ func TestCacheFileRoundTrip(t *testing.T) {
 	if err := os.WriteFile(bad, []byte("{not json"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := LoadCacheFile(bad); err == nil {
+	if _, _, err := LoadSnapshotFile(bad); err == nil {
 		t.Error("corrupt cache file accepted")
 	}
 }

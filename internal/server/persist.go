@@ -114,18 +114,6 @@ func SaveSnapshotFS(fsys faultfs.FS, path string, cache *release.ScoreCache, acc
 	return writeFileAtomic(fsys, path, blob)
 }
 
-// LoadCacheFile is LoadSnapshotFile without the accountant sessions,
-// kept for callers that only care about the warm score cache.
-func LoadCacheFile(path string) (*release.ScoreCache, error) {
-	cache, _, err := LoadSnapshotFile(path)
-	return cache, err
-}
-
-// SaveCacheFile writes a cache-only snapshot (no accountants).
-func SaveCacheFile(path string, cache *release.ScoreCache) error {
-	return SaveSnapshotFile(path, cache, nil)
-}
-
 // writeFileAtomic writes blob via a synced temp file + rename + parent
 // directory fsync.
 func writeFileAtomic(fsys faultfs.FS, path string, blob []byte) error {

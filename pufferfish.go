@@ -374,20 +374,14 @@ func NewExactComposition(class Class, opt ExactOptions) *Composition {
 // NewApproxComposition returns a composition manager using MQMApprox.
 func NewApproxComposition(class Class) *Composition { return core.NewApproxComposition(class) }
 
-// Accountant tracks the cumulative privacy loss of a composition: the
-// pluggable policy behind Composition.TotalEpsilon.
-type Accountant = core.Accountant
-
-// LinearAccountant is the Theorem 4.4 accountant (K·max_k ε_k),
-// Composition's default.
-type LinearAccountant = core.LinearAccountant
-
 // Ledger is the Rényi/zCDP privacy ledger (Pierquin et al., "Rényi
 // Pufferfish Privacy"): per-release Rényi curves composed additively
 // in α-divergence and converted to an (ε, δ) statement on demand —
 // quadratically tighter than linear accounting over many Gaussian
-// releases, and never worse than the applicable linear bound. It
-// satisfies Accountant, so it plugs into Composition.WithAccountant.
+// releases, and never worse than the applicable linear bound. It is
+// the one accountant: Composition.WithAccountant takes a Ledger, and
+// every Composition charges its releases to one (a default ledger when
+// none is given).
 type Ledger = accounting.Ledger
 
 // LedgerEntry is one recorded release of a Ledger.
@@ -403,7 +397,7 @@ type LedgerSnapshot = accounting.Snapshot
 const DefaultAccountingDelta = accounting.DefaultDelta
 
 // NewLedger returns an empty accounting ledger whose headline
-// TotalEpsilon reports ε at the given δ (δ <= 0 selects
+// State().Epsilon reports ε at the given δ (δ <= 0 selects
 // DefaultAccountingDelta).
 func NewLedger(delta float64) *Ledger { return accounting.NewLedger(delta) }
 

@@ -21,21 +21,20 @@
 //
 // SIGINT/SIGTERM triggers graceful shutdown: listeners close
 // immediately, in-flight releases drain (bounded by -drain), and the
-// process exits 0 on a clean drain. With -cache-file the score cache
-// (quilt scores and Kantorovich transport profiles alike) and the
-// named Rényi accountant sessions are restored from the file at
-// startup and snapshotted back after the drain, so a restart serves
-// its first requests warm and resumes every cumulative privacy budget
-// where it left off.
+// process exits 0 on a clean drain.
 //
 // Durability and budget enforcement:
 //
-//   - -wal FILE (requires -cache-file) journals every accountant charge
-//     to an fsync'd write-ahead log *before* the noisy histogram leaves
-//     the process. After any crash — kill -9 included — the next boot
-//     replays the journal over the snapshot, so the recovered budget is
-//     never less than the privacy actually spent. Shutdown checkpoints
-//     the snapshot and truncates the journal behind it.
+//   - -cache-file FILE and -wal FILE go together; either one alone is
+//     refused at startup. The snapshot holds the score cache (quilt
+//     scores and Kantorovich transport profiles alike) and the named
+//     Rényi accountant sessions; the write-ahead log journals every
+//     accountant charge, fsync'd *before* the noisy histogram leaves
+//     the process. Boot restores the snapshot and replays the journal
+//     over it, so after any crash — kill -9 included — the recovered
+//     budget is never less than the privacy actually spent, and a
+//     restart serves its first requests warm. Shutdown checkpoints the
+//     snapshot after the drain and truncates the journal behind it.
 //   - -ceiling-eps/-ceiling-delta install a hard (ε, δ) ceiling on
 //     every accountant session; a release that would push a session
 //     past it is refused with 403 before any scoring work runs.
@@ -57,7 +56,6 @@ import (
 	"syscall"
 	"time"
 
-	"pufferfish/internal/accounting"
 	"pufferfish/internal/faultfs"
 	"pufferfish/internal/server"
 )
@@ -66,7 +64,7 @@ func main() {
 	addr := flag.String("addr", ":8080", "listen address")
 	workers := flag.Int("workers", 0, "global scoring-worker budget shared by all requests (0 = all CPUs)")
 	drain := flag.Duration("drain", 30*time.Second, "graceful-shutdown drain timeout for in-flight releases")
-	cacheFile := flag.String("cache-file", "", "score-cache snapshot: pre-warm at startup, save after the shutdown drain")
+	cacheFile := flag.String("cache-file", "", "score-cache and accountant snapshot: restored at startup, checkpointed after the shutdown drain (requires -wal)")
 	walFile := flag.String("wal", "", "accounting write-ahead journal: every charge is fsync'd before its noise is released, and replayed over the snapshot at boot (requires -cache-file)")
 	ceilingEps := flag.Float64("ceiling-eps", 0, "hard per-session ε budget ceiling; releases that would breach it are refused with 403 (0 = no ceiling)")
 	ceilingDelta := flag.Float64("ceiling-delta", 0, "δ at which -ceiling-eps is enforced (0 = the ledger's headline δ)")
@@ -89,8 +87,10 @@ func main() {
 	}
 	logger := slog.New(logHandler)
 
-	if *walFile != "" && *cacheFile == "" {
-		fatal(errors.New("-wal requires -cache-file (the journal is truncated against the snapshot)"))
+	if (*cacheFile == "") != (*walFile == "") {
+		// The journal is truncated against the snapshot, and without the
+		// journal a crash would lose every accountant charge since boot.
+		fatal(errors.New("-cache-file and -wal must be set together"))
 	}
 	//privlint:allow floatcompare zero is the exact unset sentinel for the ceiling flags
 	if *ceilingDelta != 0 && *ceilingEps == 0 {
@@ -107,8 +107,7 @@ func main() {
 		Logger:         logger,
 		SlowRequest:    *slowRequest,
 	}
-	switch {
-	case *walFile != "":
+	if *cacheFile != "" {
 		st, err := server.OpenDurable(faultfs.OS, faultfs.WallClock{}, *cacheFile, *walFile)
 		if err != nil {
 			fatal(err)
@@ -121,18 +120,6 @@ func main() {
 			slog.Int("wal_replayed", st.Replayed),
 			slog.Bool("wal_torn_tail", st.Torn),
 			slog.Int("accountant_sessions", len(st.Accountants)))
-	case *cacheFile != "":
-		var err error
-		var accountants map[string]*accounting.Ledger
-		cfg.Cache, accountants, err = server.LoadSnapshotFile(*cacheFile)
-		if err != nil {
-			fatal(err)
-		}
-		cfg.Accountants = accountants
-		logger.Info("cache file restored",
-			slog.String("cache_file", *cacheFile),
-			slog.Int("cache_entries", cfg.Cache.Len()),
-			slog.Int("accountant_sessions", len(accountants)))
 	}
 	s := server.New(cfg)
 	srv := &http.Server{
@@ -189,17 +176,12 @@ func main() {
 	// Save the snapshot even on a drain timeout: every memoized entry
 	// is deterministic and valid regardless of how the drain ended,
 	// and discarding a warm cache exactly when the server was busiest
-	// would defeat the persistence feature. With a WAL the save is a
-	// checkpoint: snapshot first, then truncate the journal behind it.
+	// would defeat the persistence feature. The save is a checkpoint:
+	// snapshot first, then truncate the journal behind it.
 	if *cacheFile != "" {
-		var err error
-		if *walFile != "" {
-			err = server.Checkpoint(faultfs.OS, *cacheFile, s, cfg.WAL)
-			if cerr := cfg.WAL.Close(); err == nil {
-				err = cerr
-			}
-		} else {
-			err = server.SaveSnapshotFile(*cacheFile, s.Cache(), s.AccountantSnapshots())
+		err := server.Checkpoint(faultfs.OS, *cacheFile, s, cfg.WAL)
+		if cerr := cfg.WAL.Close(); err == nil {
+			err = cerr
 		}
 		if err != nil {
 			if drainErr != nil {

@@ -22,7 +22,6 @@ import (
 	"pufferfish/internal/bayes"
 	"pufferfish/internal/core"
 	"pufferfish/internal/kantorovich"
-	"pufferfish/internal/laplace"
 	"pufferfish/internal/markov"
 	"pufferfish/internal/noise"
 	"pufferfish/internal/obs"
@@ -474,37 +473,28 @@ func (p *Prepared) SetAccountant(led *accounting.Ledger, name string) {
 // depends only on validated config. The Gaussian Kantorovich entry's
 // ρ looks like it needs the scored W∞, but W∞ cancels: σ scales
 // linearly in W∞, so ρ = W∞²/(2σ²) is a function of (ε, δ, k) alone.
-// Finish computes its charge through the same helper, so the planned
-// and charged entries are equal bit for bit.
+// It is the only place a charge is built: Finish charges exactly this
+// entry, so the planned and charged entries are equal bit for bit.
 func (p *Prepared) PlannedEntry() (accounting.Entry, error) {
 	if p.cfg.Mechanism == MechKantorovich && p.cfg.Noise == NoiseGaussian {
-		rho, err := gaussianEntryRho(p.cfg.Epsilon, p.cfg.Delta, p.k)
+		// Per-coordinate ρ at the unit shift bound, summed over the k
+		// cells.
+		sigmaUnit, err := kantorovich.GaussianCountScale(1, p.cfg.Epsilon, p.cfg.Delta, p.k)
+		if err != nil {
+			return accounting.Entry{}, err
+		}
+		rhoCoord, err := noise.GaussianRho(1, sigmaUnit)
 		if err != nil {
 			return accounting.Entry{}, err
 		}
 		return accounting.Entry{
 			Kind: accounting.KindGaussian, Mechanism: p.cfg.Mechanism,
-			Eps: p.cfg.Epsilon, Delta: p.cfg.Delta, Rho: rho,
+			Eps: p.cfg.Epsilon, Delta: p.cfg.Delta, Rho: float64(p.k) * rhoCoord,
 		}, nil
 	}
 	return accounting.Entry{
 		Kind: accounting.KindPure, Mechanism: p.cfg.Mechanism, Eps: p.cfg.Epsilon,
 	}, nil
-}
-
-// gaussianEntryRho is the zCDP charge of a Gaussian Kantorovich
-// release: per-coordinate ρ at the unit shift bound (W∞ cancels
-// against the σ calibration), summed over the k cells.
-func gaussianEntryRho(eps, delta float64, k int) (float64, error) {
-	sigmaUnit, err := kantorovich.GaussianCountScale(1, eps, delta, k)
-	if err != nil {
-		return 0, err
-	}
-	rhoCoord, err := noise.GaussianRho(1, sigmaUnit)
-	if err != nil {
-		return 0, err
-	}
-	return float64(k) * rhoCoord, nil
 }
 
 // Score computes the mechanism's chain score: ScoreBatch over this
@@ -633,6 +623,7 @@ func (p *Prepared) finish(ctx context.Context, score core.ChainScore) (*Report, 
 		Mechanism:    p.cfg.Mechanism,
 		Substrate:    p.SubstrateKind(),
 		Epsilon:      p.cfg.Epsilon,
+		Delta:        p.cfg.Delta, // 0 for Laplace, which Prepare enforces
 		K:            p.k,
 		Observations: p.n,
 		Sessions:     len(p.sessions),
@@ -659,107 +650,76 @@ func (p *Prepared) finish(ctx context.Context, score core.ChainScore) (*Report, 
 // applyNoise evaluates the query, draws the mechanism's noise into
 // report, and returns the accounting entry the release charges — the
 // "noise" stage of the pipeline, split out of finish so the span
-// boundaries match the stage boundaries exactly.
+// boundaries match the stage boundaries exactly. Every mechanism
+// releases the exact query plus additive noise, so the mechanism
+// switch only calibrates the per-coordinate scale (and, for the scored
+// mechanisms, σ and its diagnostics); the charge, the evaluation, the
+// scale guard and the one draw are shared.
 func (p *Prepared) applyNoise(report *Report, score core.ChainScore, q query.RelFreqHistogram, rng *rand.Rand) (accounting.Entry, error) {
-	// Every Laplace path is a pure-ε release in the ledger; the
-	// Gaussian branch below replaces this with its Rényi curve entry.
-	entry := accounting.Entry{
-		Kind: accounting.KindPure, Mechanism: p.cfg.Mechanism, Eps: p.cfg.Epsilon,
+	// The charge goes through PlannedEntry, so a pre-scoring ceiling
+	// check and the actual charge can never disagree.
+	entry, err := p.PlannedEntry()
+	if err != nil {
+		return entry, err
 	}
+	exact, err := q.Evaluate(p.flat)
+	if err != nil {
+		return entry, err
+	}
+	eps := p.cfg.Epsilon
+	var scale, sigma float64
 	switch p.cfg.Mechanism {
 	case MechDP:
-		rel, err := core.LaplaceDP(p.flat, q, p.cfg.Epsilon, rng)
-		if err != nil {
-			return entry, err
-		}
-		report.Histogram = rel.Values
-		report.NoiseScale = rel.NoiseScale
+		scale = q.Lipschitz() / eps
 	case MechGroupDP:
-		rel, err := core.GroupDP(p.flat, q, p.longest, p.cfg.Epsilon, rng)
-		if err != nil {
-			return entry, err
-		}
-		report.Histogram = rel.Values
-		report.NoiseScale = rel.NoiseScale
+		// A whole session may change together, so the sensitivity
+		// grows to longest·L (Definition 2.2).
+		scale = float64(p.longest) * q.Lipschitz() / eps
 	case MechKantorovich:
-		exact, err := q.Evaluate(p.flat)
-		if err != nil {
-			return entry, err
-		}
 		// W∞ is reconstructed from σ = k·W∞/ε; the max with W₁ absorbs
 		// the one-ulp rounding of the round trip so the reported ratio
 		// W₁/W∞ never exceeds 1 (its documented contract).
-		wInf := math.Max(score.Sigma*p.cfg.Epsilon/float64(p.k), score.Influence)
+		wInf := math.Max(score.Sigma*eps/float64(p.k), score.Influence)
+		sigma = score.Sigma
 		if p.cfg.Noise == NoiseGaussian {
 			// Per-coordinate Gaussian noise at the per-cell budget
-			// (ε/k, δ/k); the count-level σ divides by n alongside the
-			// released relative frequencies, exactly like the Laplace
-			// path below.
-			sigmaCount, err := kantorovich.GaussianCountScale(wInf, p.cfg.Epsilon, p.cfg.Delta, p.k)
-			if err != nil {
+			// (ε/k, δ/k).
+			if sigma, err = kantorovich.GaussianCountScale(wInf, eps, p.cfg.Delta, p.k); err != nil {
 				return entry, err
 			}
-			scale := sigmaCount / float64(p.n)
-			if err := core.ValidateNoiseScale(scale, sigmaCount, p.cfg.Epsilon); err != nil {
-				return entry, err
-			}
-			g, err := noise.Gaussian(scale)
-			if err != nil {
-				return entry, err
-			}
-			report.Histogram = noise.AddVec(exact, g, rng)
-			report.NoiseScale = scale
-			report.Sigma = sigmaCount
-			report.Noise = NoiseGaussian
-			report.Delta = p.cfg.Delta
-			// The charge goes through the same W∞-free helper as
-			// PlannedEntry, so a pre-scoring ceiling check and the
-			// actual charge can never disagree.
-			entry, err = p.PlannedEntry()
-			if err != nil {
-				return entry, err
-			}
-		} else {
-			// Count-level per-coordinate scale is σ = k·W∞max/ε (ε/k
-			// per cell, composed); the released values are relative
-			// frequencies (counts / n), so the scale divides by n
-			// alongside them.
-			scale := score.Sigma / float64(p.n)
-			if err := core.ValidateNoiseScale(scale, score.Sigma, p.cfg.Epsilon); err != nil {
-				return entry, err
-			}
-			lap, err := noise.Laplace(scale)
-			if err != nil {
-				return entry, err
-			}
-			report.Histogram = noise.AddVec(exact, lap, rng)
-			report.NoiseScale = scale
-			report.Sigma = score.Sigma
-			report.Noise = NoiseLaplace
 		}
-		if p.sub == nil {
-			report.Model = &p.chain // network releases carry no chain model
-		}
-		report.Kantorovich = &KantorovichReport{
-			Cell: score.Node,
-			WInf: wInf,
-			W1:   score.Influence,
-		}
+		// σ is the count-level per-coordinate scale (for Laplace,
+		// k·W∞max/ε: ε/k per cell, composed); the released values are
+		// relative frequencies (counts / n), so the scale divides by n
+		// alongside them.
+		scale = sigma / float64(p.n)
+		report.Kantorovich = &KantorovichReport{Cell: score.Node, WInf: wInf, W1: score.Influence}
 	default: // MechMQMExact, MechMQMApprox — Prepare validated the name
-		exact, err := q.Evaluate(p.flat)
-		if err != nil {
-			return entry, err
-		}
-		scale := q.Lipschitz() * score.Sigma
-		if err := core.ValidateNoiseScale(scale, score.Sigma, p.cfg.Epsilon); err != nil {
-			return entry, err
-		}
-		report.Histogram = laplace.AddNoise(exact, scale, rng)
-		report.NoiseScale = scale
-		report.Sigma = score.Sigma
-		report.Noise = NoiseLaplace
+		sigma = score.Sigma
+		scale = q.Lipschitz() * sigma
 		report.ActiveQuilt = fmt.Sprintf("%v @ node %d", score.Quilt, score.Node)
-		report.Model = &p.chain
+	}
+	if err := core.ValidateNoiseScale(scale, sigma, eps); err != nil {
+		return entry, err
+	}
+	backend := noise.Laplace
+	if p.cfg.Noise == NoiseGaussian {
+		backend = noise.Gaussian
+	}
+	additive, err := backend(scale)
+	if err != nil {
+		return entry, err
+	}
+	report.Histogram = noise.AddVec(exact, additive, rng)
+	report.NoiseScale = scale
+	// The DP baselines report no σ and no backend (their noise is
+	// definitionally Laplace), and only a fitted chain has a model.
+	if p.NeedsScore() {
+		report.Sigma = sigma
+		report.Noise = additive.Name()
+		if p.sub == nil {
+			report.Model = &p.chain
+		}
 	}
 	return entry, nil
 }

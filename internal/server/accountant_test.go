@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"pufferfish/internal/accounting"
+	"pufferfish/internal/faultfs"
 	"pufferfish/internal/release"
 )
 
@@ -127,12 +128,18 @@ func TestInvalidRequestsMintNoSessions(t *testing.T) {
 	}
 }
 
-// TestAccountantSessionPersistenceRoundTrip: the pufferd snapshot
+// TestAccountantSessionPersistenceRoundTrip: the pufferd checkpoint
 // carries the accountant sessions next to the score tables, and a
-// second server restored from it resumes the budgets exactly.
+// second server booted from it resumes the budgets exactly.
 func TestAccountantSessionPersistenceRoundTrip(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "snapshot.json")
-	s := New(Config{})
+	dir := t.TempDir()
+	path := filepath.Join(dir, "snapshot.json")
+	walPath := filepath.Join(dir, "accounting.wal")
+	st, err := OpenDurable(faultfs.OS, nil, path, walPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := New(Config{Cache: st.Cache, Accountants: st.Accountants, WAL: st.WAL})
 	ts := httptest.NewServer(s.Handler())
 
 	for i, name := range []string{"a", "a", "b"} {
@@ -147,18 +154,25 @@ func TestAccountantSessionPersistenceRoundTrip(t *testing.T) {
 	}
 	before := s.Stats()
 	ts.Close()
-	if err := SaveSnapshotFile(path, s.Cache(), s.AccountantSnapshots()); err != nil {
+	if err := Checkpoint(faultfs.OS, path, s, st.WAL); err != nil {
+		t.Fatal(err)
+	}
+	if err := st.WAL.Close(); err != nil {
 		t.Fatal(err)
 	}
 
-	cache, accountants, err := LoadSnapshotFile(path)
+	st, err = OpenDurable(faultfs.OS, nil, path, walPath)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(accountants) != 2 {
-		t.Fatalf("restored %d sessions, want 2", len(accountants))
+	defer st.WAL.Close()
+	if len(st.Accountants) != 2 {
+		t.Fatalf("restored %d sessions, want 2", len(st.Accountants))
 	}
-	restored := New(Config{Cache: cache, Accountants: accountants})
+	if st.Replayed != 0 {
+		t.Errorf("replayed %d journal records the checkpoint already folded in", st.Replayed)
+	}
+	restored := New(Config{Cache: st.Cache, Accountants: st.Accountants, WAL: st.WAL})
 	after := restored.Stats()
 	for _, name := range []string{"a", "b"} {
 		if after.Accountants[name] != before.Accountants[name] {
@@ -205,7 +219,7 @@ func TestSnapshotFileLegacyFormat(t *testing.T) {
 	if err := os.WriteFile(path, legacy, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	cache, accountants, err := LoadSnapshotFile(path)
+	cache, accountants, _, err := loadSnapshotFS(faultfs.OS, path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -221,7 +235,7 @@ func TestSnapshotFileLegacyFormat(t *testing.T) {
 	if err := os.WriteFile(path2, withAcct, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	cache, accountants, err = LoadSnapshotFile(path2)
+	cache, accountants, _, err = loadSnapshotFS(faultfs.OS, path2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -243,7 +257,7 @@ func TestSnapshotFileRejectsCorruptAccountant(t *testing.T) {
 	if err := os.WriteFile(path, bad, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := LoadSnapshotFile(path); err == nil {
+	if _, _, _, err := loadSnapshotFS(faultfs.OS, path); err == nil {
 		t.Fatal("corrupt accountant snapshot accepted")
 	}
 }

@@ -44,7 +44,7 @@ type DurableState struct {
 // records is the failure mode this subsystem exists to prevent, and a
 // corrupt journal refuses boot loudly (wal.ErrCorrupt).
 func OpenDurable(fsys faultfs.FS, clock faultfs.Clock, snapPath, walPath string) (*DurableState, error) {
-	cache, accountants, walSeq, err := LoadSnapshotFS(fsys, snapPath)
+	cache, accountants, walSeq, err := loadSnapshotFS(fsys, snapPath)
 	if err != nil {
 		return nil, err
 	}
@@ -88,9 +88,6 @@ func OpenDurable(fsys faultfs.FS, clock faultfs.Clock, snapPath, walPath string)
 // snapshot is already durable and the oversized journal merely replays
 // records the next boot will skip by sequence.
 func Checkpoint(fsys faultfs.FS, snapPath string, srv *Server, w *wal.Writer) error {
-	if w == nil {
-		return SaveSnapshotFS(fsys, snapPath, srv.Cache(), srv.AccountantSnapshots(), 0)
-	}
 	low := w.LowWater()
 	if err := SaveSnapshotFS(fsys, snapPath, srv.Cache(), srv.AccountantSnapshots(), low); err != nil {
 		return err

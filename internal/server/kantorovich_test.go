@@ -9,6 +9,7 @@ import (
 	"path/filepath"
 	"testing"
 
+	"pufferfish/internal/faultfs"
 	"pufferfish/internal/floats"
 	"pufferfish/internal/markov"
 	"pufferfish/internal/release"
@@ -127,7 +128,7 @@ func TestCacheFileRoundTrip(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "cache.json")
 
 	// A missing file yields an empty cache, not an error (first boot).
-	empty, _, err := LoadSnapshotFile(path)
+	empty, _, _, err := loadSnapshotFS(faultfs.OS, path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -153,12 +154,12 @@ func TestCacheFileRoundTrip(t *testing.T) {
 	if entries == 0 {
 		t.Fatal("no cache entries to persist")
 	}
-	if err := SaveSnapshotFile(path, first.Cache(), nil); err != nil {
+	if err := SaveSnapshotFS(faultfs.OS, path, first.Cache(), nil, 0); err != nil {
 		t.Fatal(err)
 	}
 	ts.Close()
 
-	warmCache, _, err := LoadSnapshotFile(path)
+	warmCache, _, _, err := loadSnapshotFS(faultfs.OS, path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -196,7 +197,7 @@ func TestCacheFileRoundTrip(t *testing.T) {
 	if err := os.WriteFile(bad, []byte("{not json"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := LoadSnapshotFile(bad); err == nil {
+	if _, _, _, err := loadSnapshotFS(faultfs.OS, bad); err == nil {
 		t.Error("corrupt cache file accepted")
 	}
 }

@@ -24,7 +24,8 @@ type serverMetrics struct {
 	// requests counts HTTP requests by endpoint and numeric status.
 	requests *obs.CounterVec
 	// releases counts successful releases by mechanism and substrate;
-	// its sum tracks the releases_total stats counter.
+	// it is the only release count, and Stats reads releases_total and
+	// both breakdowns from it.
 	releases *obs.CounterVec
 	// reqDur is end-to-end handler latency per endpoint.
 	reqDur *obs.HistogramVec

@@ -14,36 +14,28 @@ import (
 	"pufferfish/internal/release"
 )
 
-// snapshotFile is the pufferd -cache-file layout since the accounting
-// ledger landed: the score-cache snapshot next to the named accountant
-// sessions, so a restart resumes both the warm scores and the
-// cumulative privacy budgets. Older files that are a bare
-// core.CacheSnapshot (top-level "version"/"scores" keys) still load —
-// they simply carry no accountants. WalSeq ties the snapshot to the
-// accounting journal: every WAL record with seq ≤ WalSeq is already
-// folded into the Accountants ledgers, so recovery replays only the
-// records after it (and a crash between snapshot and WAL rotation
-// cannot double-count).
+// snapshotFile is the pufferd -cache-file layout: the score-cache
+// snapshot next to the named accountant sessions, so a restart resumes
+// both the warm scores and the cumulative privacy budgets. WalSeq ties
+// the snapshot to the accounting journal: every WAL record with
+// seq ≤ WalSeq is already folded into the Accountants ledgers, so
+// recovery replays only the records after it (and a crash between
+// snapshot and WAL rotation cannot double-count). A file in any other
+// layout — a bare core.CacheSnapshot from before the accounting
+// ledger — has no "cache" key, so it loads as a cold cache with no
+// sessions and a zero WalSeq, and recovery replays the whole journal.
 type snapshotFile struct {
 	Cache       core.CacheSnapshot             `json:"cache"`
 	Accountants map[string]accounting.Snapshot `json:"accountants,omitempty"`
 	WalSeq      uint64                         `json:"wal_seq,omitempty"`
 }
 
-// LoadSnapshotFile reads a snapshot written by SaveSnapshotFile (or a
-// pre-accounting cache-only file) and returns a warmed cache plus the
-// restored accountant sessions, ready for Config. A missing file is
-// not an error: it returns a fresh empty cache and no accountants
-// (first boot).
-func LoadSnapshotFile(path string) (*release.ScoreCache, map[string]*accounting.Ledger, error) {
-	cache, accountants, _, err := LoadSnapshotFS(faultfs.OS, path)
-	return cache, accountants, err
-}
-
-// LoadSnapshotFS is LoadSnapshotFile against an explicit filesystem
-// (the fault-injection seam), also returning the snapshot's WAL
-// low-water sequence for journal replay.
-func LoadSnapshotFS(fsys faultfs.FS, path string) (*release.ScoreCache, map[string]*accounting.Ledger, uint64, error) {
+// loadSnapshotFS reads a snapshot written by SaveSnapshotFS and returns
+// a warmed cache, the restored accountant sessions and the snapshot's
+// WAL low-water sequence for journal replay. A missing file is not an
+// error: it returns a fresh empty cache and no accountants (first
+// boot).
+func loadSnapshotFS(fsys faultfs.FS, path string) (*release.ScoreCache, map[string]*accounting.Ledger, uint64, error) {
 	cache := release.NewScoreCache()
 	blob, err := fsys.ReadFile(path)
 	if errors.Is(err, fs.ErrNotExist) {
@@ -56,21 +48,13 @@ func LoadSnapshotFS(fsys faultfs.FS, path string) (*release.ScoreCache, map[stri
 	if err := json.Unmarshal(blob, &sf); err != nil {
 		return nil, nil, 0, fmt.Errorf("server: parse cache file %s: %w", path, err)
 	}
-	if sf.Cache.Version == 0 {
-		// Legacy layout: the whole file is the cache snapshot.
-		if err := json.Unmarshal(blob, &sf.Cache); err != nil {
-			return nil, nil, 0, fmt.Errorf("server: parse cache file %s: %w", path, err)
-		}
-		sf.Accountants = nil
-		sf.WalSeq = 0
-	}
 	if err := cache.Restore(sf.Cache); err != nil {
-		// A legacy-version cache (pre kind-tag fingerprints) is expected
-		// across upgrades: its entries are keyed in a dead fingerprint
-		// domain, so start the score cache cold — but never discard the
-		// accountants, which carry cumulative privacy spend a restart
-		// must not forget. Restore rejects before merging, so the cache
-		// is still empty here.
+		// A legacy-version cache (pre kind-tag fingerprints, or no
+		// "cache" key at all) is expected across upgrades: its entries
+		// are keyed in a dead fingerprint domain, so start the score
+		// cache cold — but never discard the accountants, which carry
+		// cumulative privacy spend a restart must not forget. Restore
+		// rejects before merging, so the cache is still empty here.
 		if !errors.Is(err, core.ErrLegacySnapshot) {
 			return nil, nil, 0, fmt.Errorf("server: restore cache file %s: %w", path, err)
 		}
@@ -89,19 +73,14 @@ func LoadSnapshotFS(fsys faultfs.FS, path string) (*release.ScoreCache, map[stri
 	return cache, accountants, sf.WalSeq, nil
 }
 
-// SaveSnapshotFile writes the cache and the accountant sessions as one
+// SaveSnapshotFS writes the cache and the accountant sessions as one
 // JSON snapshot, atomically (temp file + rename + parent-directory
 // fsync), so a crash mid-write can never truncate a snapshot a future
-// boot would trust.
-func SaveSnapshotFile(path string, cache *release.ScoreCache, accountants map[string]accounting.Snapshot) error {
-	return SaveSnapshotFS(faultfs.OS, path, cache, accountants, 0)
-}
-
-// SaveSnapshotFS is SaveSnapshotFile against an explicit filesystem,
-// recording walSeq as the journal low-water mark the snapshot folds
-// in. Callers pairing the snapshot with a WAL must pass the journal's
-// LowWater() taken *before* the accountant snapshots, so an append
-// racing the save replays as an over-count, never an under-count.
+// boot would trust. walSeq is the journal low-water mark the snapshot
+// folds in: callers pairing the snapshot with a WAL must pass the
+// journal's LowWater() taken *before* the accountant snapshots, so an
+// append racing the save replays as an over-count, never an
+// under-count.
 func SaveSnapshotFS(fsys faultfs.FS, path string, cache *release.ScoreCache, accountants map[string]accounting.Snapshot, walSeq uint64) error {
 	blob, err := json.MarshalIndent(snapshotFile{
 		Cache:       cache.Snapshot(),

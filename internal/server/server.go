@@ -119,14 +119,9 @@ type Server struct {
 	budget   *budget
 	started  time.Time
 	inFlight atomic.Int64
+	// requests counts release requests at handler entry; successful
+	// releases are counted once, by the pufferd_releases_total series.
 	requests atomic.Int64
-	releases atomic.Int64
-	// byMech counts successful releases per mechanism name; the keys
-	// are fixed at construction (one per supported mechanism), so the
-	// map itself is read-only and the values are atomics. bySubstrate
-	// is the same breakdown per substrate kind.
-	byMech      map[string]*atomic.Int64
-	bySubstrate map[string]*atomic.Int64
 
 	// accountants holds the named Rényi ledger sessions, created on
 	// first use and kept across requests (and, through the pufferd
@@ -174,20 +169,10 @@ func New(cfg Config) *Server {
 	if cache == nil {
 		cache = release.NewScoreCache()
 	}
-	byMech := make(map[string]*atomic.Int64, len(mechanisms))
-	for _, m := range mechanisms {
-		byMech[m] = new(atomic.Int64)
-	}
-	bySubstrate := make(map[string]*atomic.Int64, len(substrates))
-	for _, sub := range substrates {
-		bySubstrate[sub] = new(atomic.Int64)
-	}
 	s := &Server{
 		cache:          cache,
 		budget:         newBudget(cfg.Workers, cfg.MaxQueue),
 		started:        time.Now(),
-		byMech:         byMech,
-		bySubstrate:    bySubstrate,
 		maxAccountants: cfg.MaxAccountants,
 		ceilEps:        cfg.CeilingEps,
 		ceilDelta:      cfg.CeilingDelta,
@@ -708,9 +693,8 @@ func (s *Server) handleReleases(batch bool) http.HandlerFunc {
 				return
 			}
 		}
-		s.releases.Add(int64(len(reports)))
 		for _, p := range prepared {
-			s.countRelease(p.Mechanism(), p.SubstrateKind())
+			s.metrics.releases.With(p.Mechanism(), p.SubstrateKind()).Inc()
 		}
 		if batch {
 			writeJSON(w, BatchResponse{Reports: reports})
@@ -812,19 +796,6 @@ func (s *Server) finishErrStatus(err error) int {
 	return http.StatusUnprocessableEntity
 }
 
-// countRelease bumps the per-mechanism and per-substrate counters and
-// the labeled release metric; both keys were validated by Prepare, so
-// the lookups never miss.
-func (s *Server) countRelease(mech, substrate string) {
-	if c, ok := s.byMech[mech]; ok {
-		c.Add(1)
-	}
-	if c, ok := s.bySubstrate[substrate]; ok {
-		c.Add(1)
-	}
-	s.metrics.releases.With(mech, substrate).Inc()
-}
-
 // checkBatchCeilings runs the pre-scoring budget check for a whole
 // batch, cumulatively per session: the exact entries Finish will charge
 // are simulated against each session's ceiling, so a doomed release is
@@ -875,22 +846,22 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 func (s *Server) Stats() Stats {
 	var st Stats
 	st.UptimeSeconds = time.Since(s.started).Seconds()
-	// The counters are independent atomics, so a scrape during traffic
-	// is inherently a torn read — but handlers write in the fixed order
-	// requests → releases → per-mechanism/per-substrate parts, so
-	// reading in the exact reverse order bounds the tear to one safe
-	// direction: sum(by_mechanism) ≤ releases_total ≤ requests_total in
-	// every snapshot, and ratios computed from one snapshot never
-	// exceed 1. The orderings agree exactly once traffic quiesces.
-	st.ReleasesByMechanism = make(map[string]int64, len(s.byMech))
-	for m, c := range s.byMech {
-		st.ReleasesByMechanism[m] = c.Load()
+	// Every release figure is summed from one read of each
+	// pufferd_releases_total series, so releases_total and both
+	// breakdowns agree in every snapshot, even mid-traffic. A request is
+	// counted at handler entry, before its releases, and requests_total
+	// is read after the series, so a snapshot never holds a release
+	// whose request it has not counted.
+	st.ReleasesByMechanism = make(map[string]int64, len(mechanisms))
+	st.ReleasesBySubstrate = make(map[string]int64, len(substrates))
+	for _, mech := range mechanisms {
+		for _, sub := range substrates {
+			n := int64(s.metrics.releases.With(mech, sub).Value())
+			st.ReleasesByMechanism[mech] += n
+			st.ReleasesBySubstrate[sub] += n
+			st.ReleasesTotal += n
+		}
 	}
-	st.ReleasesBySubstrate = make(map[string]int64, len(s.bySubstrate))
-	for sub, c := range s.bySubstrate {
-		st.ReleasesBySubstrate[sub] = c.Load()
-	}
-	st.ReleasesTotal = s.releases.Load()
 	st.RequestsTotal = s.requests.Load()
 	st.InFlight = s.inFlight.Load()
 	cs := s.cache.Stats()

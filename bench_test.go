@@ -7,12 +7,14 @@
 package pufferfish_test
 
 import (
+	"fmt"
 	"math/rand/v2"
 	"testing"
 
 	"pufferfish"
 	"pufferfish/internal/dist"
 	"pufferfish/internal/experiments"
+	"pufferfish/internal/kantorovich"
 	"pufferfish/internal/markov"
 )
 
@@ -304,6 +306,26 @@ func BenchmarkWassersteinScaleEngine(b *testing.B) {
 			inst := pufferfish.ChainCountInstance{Class: class, W: []int{0, 1}, Parallelism: lv.par}
 			for i := 0; i < b.N; i++ {
 				if _, _, err := pufferfish.WassersteinScaleOpt(inst, pufferfish.WassersteinOptions{Parallelism: lv.par}); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
+// BenchmarkKantorovichCold times one cold Kantorovich score with no
+// cache — both cells' conditional-count sweeps and transport profiles,
+// serially — on a binary singleton class at three chain lengths.
+func BenchmarkKantorovichCold(b *testing.B) {
+	for _, T := range []int{50, 150, 300} {
+		class, err := markov.NewFinite([]markov.Chain{markov.BinaryChain(0.5, 0.8, 0.7)}, T)
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.Run(fmt.Sprintf("T=%d", T), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := kantorovich.Score(nil, class, 1, kantorovich.Options{Parallelism: 1}); err != nil {
 					b.Fatal(err)
 				}
 			}

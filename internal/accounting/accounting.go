@@ -211,7 +211,9 @@ type Journal interface {
 type Ledger struct {
 	mu       sync.Mutex
 	delta    float64             // headline δ for State().Epsilon; fixed at construction
-	entries  []Entry             // guarded by mu
+	entries  []entry             // guarded by mu
+	labels   []string            // guarded by mu; the entries' Kind and Mechanism strings
+	labelIdx map[string]uint32   // guarded by mu; label → index into labels
 	epsAlpha []float64           // guarded by mu; accumulated curve on defaultAlphas
 	maxEps   float64             // guarded by mu
 	deltaSum float64             // guarded by mu
@@ -239,9 +241,48 @@ func NewLedger(delta float64) *Ledger {
 	}
 	return &Ledger{
 		delta:    delta,
+		labelIdx: map[string]uint32{},
 		epsAlpha: make([]float64, len(defaultAlphas)),
 		memo:     map[float64]float64{},
 	}
+}
+
+// entry is an Entry as a ledger retains it: Kind and Mechanism are
+// indices into the ledger's label table, so each recorded release
+// holds four words instead of seven.
+type entry struct {
+	eps, delta, rho float64
+	kind, mech      uint32
+}
+
+// packLocked converts e to its retained form; the caller holds mu.
+func (l *Ledger) packLocked(e Entry) entry {
+	return entry{eps: e.Eps, delta: e.Delta, rho: e.Rho, kind: l.labelLocked(e.Kind), mech: l.labelLocked(e.Mechanism)}
+}
+
+// unpackLocked is the inverse of packLocked; the caller holds mu.
+func (l *Ledger) unpackLocked(e entry) Entry {
+	return Entry{Kind: l.labels[e.kind], Mechanism: l.labels[e.mech], Eps: e.eps, Delta: e.delta, Rho: e.rho}
+}
+
+// unpackAllLocked returns every entry in its public form; the caller holds
+// mu.
+func (l *Ledger) unpackAllLocked() []Entry {
+	out := make([]Entry, len(l.entries))
+	for i, e := range l.entries {
+		out[i] = l.unpackLocked(e)
+	}
+	return out
+}
+
+func (l *Ledger) labelLocked(s string) uint32 {
+	i, ok := l.labelIdx[s]
+	if !ok {
+		i = uint32(len(l.labels))
+		l.labels = append(l.labels, s)
+		l.labelIdx[s] = i
+	}
+	return i
 }
 
 // SetCeiling installs a hard budget ceiling: every later Add (and
@@ -380,7 +421,7 @@ func (l *Ledger) addLocked(e Entry) error {
 			return fmt.Errorf("%w: %v", ErrJournal, err)
 		}
 	}
-	l.entries = append(l.entries, e)
+	l.entries = append(l.entries, l.packLocked(e))
 	for i, a := range defaultAlphas {
 		l.epsAlpha[i] += e.EpsAlpha(a)
 	}
@@ -477,7 +518,7 @@ func (l *Ledger) Rho() float64 {
 	defer l.mu.Unlock()
 	var rho float64
 	for _, e := range l.entries {
-		rho += e.Rho
+		rho += e.rho
 	}
 	return rho
 }
@@ -486,9 +527,7 @@ func (l *Ledger) Rho() float64 {
 func (l *Ledger) Entries() []Entry {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	out := make([]Entry, len(l.entries))
-	copy(out, l.entries)
-	return out
+	return l.unpackAllLocked()
 }
 
 // Curve samples the accumulated Rényi curve at the given orders (the
@@ -500,7 +539,7 @@ func (l *Ledger) Curve(alphas []float64) []CurvePoint {
 	for i, a := range alphas {
 		var sum float64
 		for _, e := range l.entries {
-			sum += e.EpsAlpha(a)
+			sum += l.unpackLocked(e).EpsAlpha(a)
 		}
 		pts[i] = CurvePoint{Alpha: a, Eps: sum}
 	}
@@ -567,9 +606,7 @@ type Snapshot struct {
 func (l *Ledger) Snapshot() Snapshot {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	entries := make([]Entry, len(l.entries))
-	copy(entries, l.entries)
-	return Snapshot{Delta: l.delta, Entries: entries}
+	return Snapshot{Delta: l.delta, Entries: l.unpackAllLocked()}
 }
 
 // Restore rebuilds a ledger from a snapshot, re-validating every entry

@@ -3,6 +3,7 @@ package bayes
 import (
 	"errors"
 	"fmt"
+	"slices"
 
 	"pufferfish/internal/dist"
 )
@@ -98,17 +99,25 @@ type mpMsg struct {
 // graph of a polytree is a tree, so a single inward pass per query is
 // exact). Message order is deterministic — factors ascending, scope in
 // (node, parents...) order — so results are bit-identical run to run.
+//
+// The engine carries no evidence: a conditional query reads the row of
+// the conditioned value off the message rooted at the conditioned
+// node (see CountDistSweep). A directed message depends only on its
+// edge, so the engine memoizes each one: rooted passes at every node
+// of the network cost O(edges) messages in total, and every message is
+// the one a fresh pass would compute, bit for bit.
 type mpEngine struct {
 	nw         *Network
-	w          []int // nil for marginal queries
-	wMin, span int   // weight range (span = wMax − wMin; 0 when w == nil)
-	cond       int   // conditioning node, −1 for none
-	condState  int
+	w          []int   // nil for marginal queries
+	wMin, span int     // weight range (span = wMax − wMin; 0 when w == nil)
 	varFactors [][]int // variable → factors whose scope contains it
+	// varMsgs[{v, f}] = µ_{v→f} and facMsgs[{f, v}] = µ_{f→v}; cached
+	// messages are never modified.
+	varMsgs, facMsgs map[[2]int]mpMsg
 }
 
-func newMPEngine(nw *Network, w []int, cond, condState int) *mpEngine {
-	e := &mpEngine{nw: nw, w: w, cond: cond, condState: condState}
+func newMPEngine(nw *Network, w []int) *mpEngine {
+	e := &mpEngine{nw: nw, w: w, varMsgs: map[[2]int]mpMsg{}, facMsgs: map[[2]int]mpMsg{}}
 	if w != nil {
 		e.wMin = w[0]
 		wMax := w[0]
@@ -141,6 +150,9 @@ func (e *mpEngine) width(count int) int { return count*e.span + 1 }
 // convolution over the sum axis) with the messages of every adjacent
 // factor except from. from = −1 reads the root message.
 func (e *mpEngine) varMsg(v, from int) mpMsg {
+	if m, ok := e.varMsgs[[2]int{v, from}]; ok {
+		return m
+	}
 	card := e.nw.nodes[v].Card
 	count := 0
 	if e.w != nil {
@@ -149,9 +161,6 @@ func (e *mpEngine) varMsg(v, from int) mpMsg {
 	m := mpMsg{count: count, width: e.width(count)}
 	m.vals = make([]float64, card*m.width)
 	for x := 0; x < card; x++ {
-		if v == e.cond && x != e.condState {
-			continue
-		}
 		s := 0
 		if e.w != nil {
 			s = e.w[x] - e.wMin
@@ -163,6 +172,9 @@ func (e *mpEngine) varMsg(v, from int) mpMsg {
 			continue
 		}
 		m = mulConv(m, e.factorMsg(g, v), card)
+	}
+	if from >= 0 {
+		e.varMsgs[[2]int{v, from}] = m
 	}
 	return m
 }
@@ -194,6 +206,9 @@ func mulConv(a, b mpMsg, card int) mpMsg {
 // sizes are 1 + parent count — small on the tree-structured networks
 // this targets).
 func (e *mpEngine) factorMsg(f, to int) mpMsg {
+	if m, ok := e.facMsgs[[2]int{f, to}]; ok {
+		return m
+	}
 	nd := e.nw.nodes[f]
 	scope := make([]int, 0, 1+len(nd.Parents))
 	scope = append(scope, f)
@@ -255,23 +270,24 @@ func (e *mpEngine) factorMsg(f, to int) mpMsg {
 			assign[u] = 0
 		}
 		if i < 0 {
+			e.facMsgs[[2]int{f, to}] = out
 			return out
 		}
 	}
 }
 
 // MarginalsMP returns every node's marginal distribution, computed
-// exactly by message passing — O(n) messages per node instead of the
-// exponential joint enumeration of NodeMarginal, so it scales to
-// polytrees far past maxJointSize. Non-polytree networks return
-// ErrNotPolytree.
+// exactly by message passing — O(n) messages for all nodes together
+// instead of the exponential joint enumeration of NodeMarginal, so it
+// scales to polytrees far past maxJointSize. Non-polytree networks
+// return ErrNotPolytree.
 func (nw *Network) MarginalsMP() ([][]float64, error) {
 	if err := nw.Polytree(); err != nil {
 		return nil, err
 	}
 	out := make([][]float64, nw.N())
+	e := newMPEngine(nw, nil)
 	for j := range nw.nodes {
-		e := newMPEngine(nw, nil, -1, 0)
 		m := e.varMsg(j, -1)
 		row := make([]float64, nw.nodes[j].Card)
 		var total float64
@@ -298,7 +314,8 @@ func (nw *Network) CountDist(w []int) (dist.Discrete, error) {
 // index; cond == −1 means no conditioning. All nodes must share one
 // cardinality (the count query's weight vector indexes values), the
 // network must be a polytree (ErrNotPolytree otherwise), and a
-// zero-probability conditioning event is an error.
+// zero-probability conditioning event is an error. It is
+// CountDistSweep over the single node cond.
 //
 // This is the distribution oracle the network Substrate feeds to the
 // count-distribution → W∞ → noise pipeline: the polytree analogue of
@@ -306,15 +323,10 @@ func (nw *Network) CountDist(w []int) (dist.Discrete, error) {
 // range²) instead of joint enumeration.
 func (nw *Network) CountDistGiven(w []int, cond, condState int) (dist.Discrete, error) {
 	n := nw.N()
-	card := nw.nodes[0].Card
-	for i, nd := range nw.nodes {
-		if nd.Card != card {
-			return dist.Discrete{}, fmt.Errorf("bayes: count query needs uniform cardinality; node %d has %d states, want %d", i, nd.Card, card)
-		}
+	if err := nw.checkCountQuery(w); err != nil {
+		return dist.Discrete{}, err
 	}
-	if len(w) != card {
-		return dist.Discrete{}, fmt.Errorf("bayes: weight vector has length %d, want %d", len(w), card)
-	}
+	card := len(w)
 	if cond < -1 || cond >= n {
 		return dist.Discrete{}, fmt.Errorf("bayes: conditioning index %d outside [-1,%d)", cond, n)
 	}
@@ -324,34 +336,141 @@ func (nw *Network) CountDistGiven(w []int, cond, condState int) (dist.Discrete, 
 	if err := nw.Polytree(); err != nil {
 		return dist.Discrete{}, err
 	}
-	e := newMPEngine(nw, w, cond, condState)
-	// Each skeleton component contributes an independent sum; the full
-	// distribution is their convolution. The conditioned component is
-	// read at the evidence value, the rest summed over their root.
-	total := []float64{1}
-	for _, comp := range nw.components() {
-		rootVar := comp[0]
-		inComp := false
+	s := nw.newCountSweep(w)
+	if cond < 0 {
+		return s.dist(-1, condState, nil)
+	}
+	need := make([]bool, card)
+	need[condState] = true
+	out := make([]dist.Discrete, card)
+	if err := s.run(cond, cond, need, out); err != nil {
+		return dist.Discrete{}, err
+	}
+	return out[condState], nil
+}
+
+// CountDistSweep computes P(N | X_v = val) for every node v in
+// [from, to] (0-based) and every value val with need[(v−from)·card +
+// val], writing it to out at the same index; the other slots of out
+// are left untouched. It errors on the first needed conditioning event
+// (in ascending (v, val) order) of probability zero.
+//
+// One rooted pass at v, with no evidence row restricted, serves every
+// value of v: mulConv works row by row and no incoming factor message
+// touches v, so row val of the unrestricted root message is bit for bit
+// the message the pass conditioned on X_v = val computes. The polytree
+// check, the component split and the sums of the components not
+// holding v run once per sweep, and the engine computes each directed
+// message once. Every distribution is therefore bit-identical to
+// CountDistGiven(w, v, val).
+func (nw *Network) CountDistSweep(w []int, from, to int, need []bool, out []dist.Discrete) error {
+	if err := nw.checkCountQuery(w); err != nil {
+		return err
+	}
+	if from < 0 || to >= nw.N() || from > to {
+		return fmt.Errorf("bayes: sweep range [%d,%d] outside [0,%d)", from, to, nw.N())
+	}
+	if n := (to - from + 1) * len(w); len(need) != n || len(out) != n {
+		return fmt.Errorf("bayes: sweep over [%d,%d] needs %d need/out slots, got %d/%d", from, to, n, len(need), len(out))
+	}
+	if err := nw.Polytree(); err != nil {
+		return err
+	}
+	return nw.newCountSweep(w).run(from, to, need, out)
+}
+
+// checkCountQuery validates a count query's weight vector against the
+// network: one cardinality shared by every node, and one weight per
+// value.
+func (nw *Network) checkCountQuery(w []int) error {
+	card := nw.nodes[0].Card
+	for i, nd := range nw.nodes {
+		if nd.Card != card {
+			return fmt.Errorf("bayes: count query needs uniform cardinality; node %d has %d states, want %d", i, nd.Card, card)
+		}
+	}
+	if len(w) != card {
+		return fmt.Errorf("bayes: weight vector has length %d, want %d", len(w), card)
+	}
+	return nil
+}
+
+// countSweep holds the per-sweep state of the conditional count
+// queries on one polytree: an evidence-free engine, the skeleton
+// components, and each component's unconditioned sum vector, computed
+// the first time another component's node is conditioned.
+type countSweep struct {
+	nw     *Network
+	e      *mpEngine
+	comps  [][]int
+	compOf []int
+	free   [][]float64 // component → Σ_x of its root message, lazily
+}
+
+func (nw *Network) newCountSweep(w []int) *countSweep {
+	s := &countSweep{nw: nw, e: newMPEngine(nw, w), comps: nw.components()}
+	s.compOf = make([]int, nw.N())
+	for ci, comp := range s.comps {
 		for _, v := range comp {
-			if v == cond {
-				inComp = true
-				break
-			}
+			s.compOf[v] = ci
 		}
-		if inComp {
-			rootVar = cond
+	}
+	s.free = make([][]float64, len(s.comps))
+	return s
+}
+
+// run is CountDistSweep after validation.
+func (s *countSweep) run(from, to int, need []bool, out []dist.Discrete) error {
+	card := s.nw.nodes[0].Card
+	for v := from; v <= to; v++ {
+		row := need[(v-from)*card : (v-from+1)*card]
+		if !slices.Contains(row, true) {
+			continue
 		}
-		m := e.varMsg(rootVar, -1)
-		vec := make([]float64, m.width)
-		if inComp {
-			copy(vec, m.vals[condState*m.width:(condState+1)*m.width])
-		} else {
-			cardRoot := nw.nodes[rootVar].Card
-			for x := 0; x < cardRoot; x++ {
-				for s, v := range m.vals[x*m.width : (x+1)*m.width] {
-					vec[s] += v
-				}
+		m := s.e.varMsg(v, -1)
+		for val, ok := range row {
+			if !ok {
+				continue
 			}
+			d, err := s.dist(v, val, m.vals[val*m.width:(val+1)*m.width])
+			if err != nil {
+				return err
+			}
+			out[(v-from)*card+val] = d
+		}
+	}
+	return nil
+}
+
+// unconditioned returns component ci's sum vector: its root message,
+// summed over the root's value.
+func (s *countSweep) unconditioned(ci int) []float64 {
+	if s.free[ci] != nil {
+		return s.free[ci]
+	}
+	rootVar := s.comps[ci][0]
+	m := s.e.varMsg(rootVar, -1)
+	vec := make([]float64, m.width)
+	for x := 0; x < s.nw.nodes[rootVar].Card; x++ {
+		for i, v := range m.vals[x*m.width : (x+1)*m.width] {
+			vec[i] += v
+		}
+	}
+	s.free[ci] = vec
+	return vec
+}
+
+// dist convolves the components' sum vectors in component order —
+// condVec, the root message row of X_v = val, standing in for v's
+// component (v = −1: none) — and normalises the result.
+func (s *countSweep) dist(v, val int, condVec []float64) (dist.Discrete, error) {
+	// Each skeleton component contributes an independent sum; the full
+	// distribution is their convolution.
+	total := []float64{1}
+	for ci := range s.comps {
+		vec := condVec
+		if v < 0 || ci != s.compOf[v] {
+			vec = s.unconditioned(ci)
 		}
 		next := make([]float64, len(total)+len(vec)-1)
 		for i, tv := range total {
@@ -370,7 +489,7 @@ func (nw *Network) CountDistGiven(w []int, cond, condState int) (dist.Discrete, 
 		mass += v
 	}
 	if mass <= 1e-300 {
-		return dist.Discrete{}, fmt.Errorf("bayes: conditioning event X_%d=%d has probability zero", cond, condState)
+		return dist.Discrete{}, fmt.Errorf("bayes: conditioning event X_%d=%d has probability zero", v, val)
 	}
 	atoms := 0
 	for _, p := range total {
@@ -381,11 +500,11 @@ func (nw *Network) CountDistGiven(w []int, cond, condState int) (dist.Discrete, 
 	buf := make([]float64, 2*atoms)
 	xs, ps := buf[:atoms:atoms], buf[atoms:]
 	i := 0
-	for s, p := range total {
+	for j, p := range total {
 		if p <= 0 {
 			continue
 		}
-		xs[i] = float64(s + n*e.wMin)
+		xs[i] = float64(j + s.nw.N()*s.e.wMin)
 		ps[i] = p / mass
 		i++
 	}

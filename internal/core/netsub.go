@@ -11,7 +11,7 @@ import (
 // NetworkSubstrate adapts a class of tree/polytree Bayesian networks
 // to the Substrate interface: Θ is the network list, the positions are
 // the network's nodes, and the conditional count distributions come
-// from the exact sum-augmented message passing of bayes.CountDistGiven
+// from the exact sum-augmented message passing of bayes.CountDistSweep
 // — so the count-distribution → W∞ → noise pipeline, the ScoreCache,
 // and the accountants all work on correlated data whose structure is a
 // polytree rather than a chain.
@@ -108,10 +108,21 @@ func (s *NetworkSubstrate) SecretPairs() ([]SecretSpec, error) {
 	return specs, nil
 }
 
-// CountDistGiven implements Substrate by the network's sum-augmented
-// message passing, translating the substrate's 1-based position (0 =
-// unconditioned) to the network's 0-based node index (−1 =
-// unconditioned).
+// CountDistSweep implements Substrate by the network's sum-augmented
+// message passing — one rooted pass per node serves all its values —
+// translating the substrate's 1-based positions to the network's
+// 0-based node indices.
+func (s *NetworkSubstrate) CountDistSweep(theta int, w []int, from, to int, need []bool, out []dist.Discrete) error {
+	if theta < 0 || theta >= len(s.nets) {
+		return fmt.Errorf("core: θ index %d outside [0,%d)", theta, len(s.nets))
+	}
+	return s.nets[theta].CountDistSweep(w, from-1, to-1, need, out)
+}
+
+// CountDistGiven returns the conditional distribution of F(X) given
+// X_pos = val under θ — one node of CountDistSweep — translating the
+// substrate's 1-based position (0 = unconditioned) to the network's
+// 0-based node index (−1 = unconditioned).
 func (s *NetworkSubstrate) CountDistGiven(theta int, w []int, pos, val int) (dist.Discrete, error) {
 	if theta < 0 || theta >= len(s.nets) {
 		return dist.Discrete{}, fmt.Errorf("core: θ index %d outside [0,%d)", theta, len(s.nets))

@@ -2,6 +2,7 @@ package core
 
 import (
 	"errors"
+	"maps"
 	"sync"
 	"sync/atomic"
 
@@ -59,8 +60,11 @@ type cellKey struct {
 // options). Composition-heavy workloads — repeated releases over an
 // unchanged class, the regime of Theorem 4.4 — pay the scoring sweep
 // once and hit the cache thereafter. The cache is safe for concurrent
-// use and unbounded (scores are a few words each; a workload would
-// need millions of distinct classes before size matters).
+// use and bounded: past maxCacheEntries entries across both tables,
+// each new key evicts the oldest one (FIFO), so a client streaming
+// distinct ε values or models cannot grow it — or the snapshot that
+// persists it — without limit. An evicted key simply scores again,
+// bit-identically.
 //
 // A second side table memoizes the Kantorovich subsystem's per-cell
 // transport profiles by (class fingerprint, cell); both tables share
@@ -72,9 +76,13 @@ type cellKey struct {
 // disables memoization, so callers thread an optional cache without
 // branching.
 type ScoreCache struct {
-	mu           sync.RWMutex
-	m            map[scoreKey]ChainScore // guarded by mu
-	cells        map[cellKey]CellScore   // guarded by mu
+	mu    sync.RWMutex
+	m     map[scoreKey]ChainScore // guarded by mu
+	cells map[cellKey]CellScore   // guarded by mu
+	// order is the FIFO admission ring over both tables' keys, oldest
+	// at head once the ring is full; guarded by mu.
+	order        []entryKey
+	head         int
 	hits, misses atomic.Int64
 	// tables holds the per-transition-matrix derived tables (powers,
 	// log-domain influence rows, marginal prefixes) that survive across
@@ -83,6 +91,74 @@ type ScoreCache struct {
 	// instead of rebuilding them. Not persisted: the tables are derived
 	// data, rebuilt (and re-verified against the matrices) on demand.
 	tables *powerCacheSet
+}
+
+// maxCacheEntries bounds a ScoreCache across both tables: 16 entries
+// for each of the maxTableMatrices models whose derived tables stay
+// resident.
+const maxCacheEntries = 16 * maxTableMatrices
+
+// entryKey names one entry of either table in the admission ring,
+// packed into half the size of the two keys side by side: a
+// cellKey{fp, cell: n} when cell is set, else a
+// scoreKey{fp, eps, exact, maxWidth: n, forceFull}.
+type entryKey struct {
+	fp                     Fingerprint
+	eps                    float64
+	n                      int
+	cell, exact, forceFull bool
+}
+
+func (k scoreKey) entry() entryKey {
+	return entryKey{fp: k.fp, eps: k.eps, n: k.maxWidth, exact: k.exact, forceFull: k.forceFull}
+}
+
+func (k cellKey) entry() entryKey { return entryKey{fp: k.fp, n: k.cell, cell: true} }
+
+func (e entryKey) score() scoreKey {
+	return scoreKey{fp: e.fp, eps: e.eps, exact: e.exact, maxWidth: e.n, forceFull: e.forceFull}
+}
+
+func (e entryKey) cellKey() cellKey { return cellKey{fp: e.fp, cell: e.n} }
+
+// admitLocked records key as the newest entry, evicting the oldest one
+// when the cache is full. The caller holds mu and has just inserted key
+// into its table; re-storing a resident key does not admit it again.
+func (sc *ScoreCache) admitLocked(key entryKey) {
+	if len(sc.order) < maxCacheEntries {
+		sc.order = append(sc.order, key)
+		return
+	}
+	if old := sc.order[sc.head]; old.cell {
+		delete(sc.cells, old.cellKey())
+	} else {
+		delete(sc.m, old.score())
+	}
+	sc.order[sc.head] = key
+	sc.head = (sc.head + 1) % maxCacheEntries
+	if sc.head == 0 {
+		// Deletes leave tombstones that a map never gives back; one
+		// rebuild per lap of the ring keeps both tables at the size
+		// their live entries need.
+		sc.m = maps.Clone(sc.m)
+		sc.cells = maps.Clone(sc.cells)
+	}
+}
+
+// storeScoreLocked and storeCellLocked insert or overwrite one entry;
+// the caller holds mu.
+func (sc *ScoreCache) storeScoreLocked(key scoreKey, s ChainScore) {
+	if _, ok := sc.m[key]; !ok {
+		sc.admitLocked(key.entry())
+	}
+	sc.m[key] = s
+}
+
+func (sc *ScoreCache) storeCellLocked(key cellKey, s CellScore) {
+	if _, ok := sc.cells[key]; !ok {
+		sc.admitLocked(key.entry())
+	}
+	sc.cells[key] = s
 }
 
 // NewScoreCache returns an empty cache.
@@ -163,7 +239,7 @@ func (sc *ScoreCache) StoreCell(fp Fingerprint, cell int, s CellScore) {
 		return
 	}
 	sc.mu.Lock()
-	sc.cells[cellKey{fp: fp, cell: cell}] = s
+	sc.storeCellLocked(cellKey{fp: fp, cell: cell}, s)
 	sc.mu.Unlock()
 }
 
@@ -190,7 +266,7 @@ func (sc *ScoreCache) store(key scoreKey, s ChainScore) {
 		return
 	}
 	sc.mu.Lock()
-	sc.m[key] = s
+	sc.storeScoreLocked(key, s)
 	sc.mu.Unlock()
 }
 

@@ -64,9 +64,10 @@ type CellScoreEntry struct {
 	Profile CellScore `json:"profile"`
 }
 
-// Snapshot captures every memoized entry. Safe for concurrent use;
-// entries stored while the snapshot runs may or may not be included.
-// A nil cache snapshots empty.
+// Snapshot captures every memoized entry, each table oldest first, so
+// a Restore re-admits them in the order they were stored. Safe for
+// concurrent use; entries stored while the snapshot runs may or may not
+// be included. A nil cache snapshots empty.
 func (sc *ScoreCache) Snapshot() CacheSnapshot {
 	snap := CacheSnapshot{Version: snapshotVersion}
 	if sc == nil {
@@ -74,7 +75,15 @@ func (sc *ScoreCache) Snapshot() CacheSnapshot {
 	}
 	sc.mu.RLock()
 	defer sc.mu.RUnlock()
-	for k, s := range sc.m {
+	for i := range sc.order {
+		key := sc.order[(sc.head+i)%len(sc.order)]
+		if key.cell {
+			snap.Cells = append(snap.Cells, CellScoreEntry{
+				FpHi: key.fp.Hi, FpLo: key.fp.Lo, Cell: key.n, Profile: sc.cells[key.cellKey()],
+			})
+			continue
+		}
+		k, s := key.score(), sc.m[key.score()]
 		snap.Scores = append(snap.Scores, ScoreEntry{
 			FpHi: k.fp.Hi, FpLo: k.fp.Lo, Eps: k.eps, Exact: k.exact,
 			MaxWidth: k.maxWidth, ForceFull: k.forceFull,
@@ -82,23 +91,21 @@ func (sc *ScoreCache) Snapshot() CacheSnapshot {
 			Influence: s.Influence, Ell: s.Ell,
 		})
 	}
-	for k, p := range sc.cells {
-		snap.Cells = append(snap.Cells, CellScoreEntry{
-			FpHi: k.fp.Hi, FpLo: k.fp.Lo, Cell: k.cell, Profile: p,
-		})
-	}
 	return snap
 }
 
 // Restore merges a snapshot's entries into the cache (existing entries
-// with equal keys are overwritten; counters are untouched). It rejects
-// snapshots from an unknown format version and entries that could
-// never have been stored — non-finite or non-positive σ / W∞, NaN or
-// negative influence, influence at or above the entry's ε (the engine
-// only stores finite σ = card/(ε − infl)), negative ℓ, and
-// out-of-range node/quilt indices — so a corrupted or hand-edited file
-// cannot plant scores the engine would not compute (and a later
-// composition rescale cannot run Quilt.CardN on garbage indices).
+// with equal keys are overwritten; counters are untouched), scores
+// then cells, through the same bounded admission as a store — so of a
+// snapshot larger than the bound, the last maxCacheEntries entries
+// stay. It rejects snapshots from an unknown format version and
+// entries that could never have been stored — non-finite or
+// non-positive σ / W∞, NaN or negative influence, influence at or above
+// the entry's ε (the engine only stores finite σ = card/(ε − infl)),
+// negative ℓ, and out-of-range node/quilt indices — so a corrupted or
+// hand-edited file cannot plant scores the engine would not compute
+// (and a later composition rescale cannot run Quilt.CardN on garbage
+// indices).
 func (sc *ScoreCache) Restore(snap CacheSnapshot) error {
 	if sc == nil {
 		return fmt.Errorf("core: cannot restore into a nil ScoreCache")
@@ -142,13 +149,13 @@ func (sc *ScoreCache) Restore(snap CacheSnapshot) error {
 			fp: Fingerprint{Hi: e.FpHi, Lo: e.FpLo}, eps: e.Eps, exact: e.Exact,
 			maxWidth: e.MaxWidth, forceFull: e.ForceFull,
 		}
-		sc.m[key] = ChainScore{
+		sc.storeScoreLocked(key, ChainScore{
 			Sigma: e.Sigma, Node: e.Node, Quilt: ChainQuilt{A: e.QuiltA, B: e.QuiltB},
 			Influence: e.Influence, Ell: e.Ell,
-		}
+		})
 	}
 	for _, e := range snap.Cells {
-		sc.cells[cellKey{fp: Fingerprint{Hi: e.FpHi, Lo: e.FpLo}, cell: e.Cell}] = e.Profile
+		sc.storeCellLocked(cellKey{fp: Fingerprint{Hi: e.FpHi, Lo: e.FpLo}, cell: e.Cell}, e.Profile)
 	}
 	return nil
 }

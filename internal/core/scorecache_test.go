@@ -241,3 +241,75 @@ func TestScoreBatchEmptyAndNil(t *testing.T) {
 		t.Fatal("nil class accepted")
 	}
 }
+
+// TestScoreCacheBounded: past maxCacheEntries distinct stores the cache
+// holds exactly the newest maxCacheEntries entries; the oldest key
+// misses and rescoring it gives the identical score.
+func TestScoreCacheBounded(t *testing.T) {
+	class := cacheTestClass(t, 0.9, 30)
+	cache := NewScoreCache()
+	want, err := cachedExact(cache, class, 1, ExactOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const extra = 37
+	for i := 0; i < maxCacheEntries+extra; i++ {
+		cache.StoreCell(Fingerprint{Hi: uint64(i), Lo: 1}, i%3, CellScore{WInf: 1, W1: 1, Pairs: 1})
+	}
+	if got := cache.Len(); got != maxCacheEntries {
+		t.Fatalf("Len() = %d after %d distinct stores, want %d", got, maxCacheEntries+extra+1, maxCacheEntries)
+	}
+	// Re-storing a resident key admits nothing.
+	cache.StoreCell(Fingerprint{Hi: maxCacheEntries + extra - 1, Lo: 1}, (maxCacheEntries+extra-1)%3, CellScore{WInf: 2, W1: 1, Pairs: 1})
+	if got := cache.Len(); got != maxCacheEntries {
+		t.Fatalf("Len() = %d after an overwrite, want %d", got, maxCacheEntries)
+	}
+	for i := 0; i <= extra; i++ {
+		if _, ok := cache.LookupCell(Fingerprint{Hi: uint64(i), Lo: 1}, i%3); ok == (i < extra) {
+			t.Fatalf("cell %d: resident = %v, want %v", i, ok, i >= extra)
+		}
+	}
+	misses := cache.Stats().Misses
+	got, err := cachedExact(cache, class, 1, ExactOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if cache.Stats().Misses != misses+1 {
+		t.Fatal("evicted score was served from the cache")
+	}
+	if got != want {
+		t.Fatalf("rescored %+v, want %+v", got, want)
+	}
+	if got := cache.Len(); got != maxCacheEntries {
+		t.Fatalf("Len() = %d after rescoring, want %d", got, maxCacheEntries)
+	}
+}
+
+// TestScoreCacheRestoreBounded: restoring a snapshot larger than the
+// bound keeps its last maxCacheEntries entries, and a snapshot lists
+// them oldest first.
+func TestScoreCacheRestoreBounded(t *testing.T) {
+	const extra = 11
+	snap := CacheSnapshot{Version: snapshotVersion}
+	for i := 0; i < 5; i++ {
+		snap.Scores = append(snap.Scores, ScoreEntry{FpHi: uint64(i), Eps: 1, Exact: true, Sigma: 2, Node: 1})
+	}
+	for i := 0; i < maxCacheEntries+extra-5; i++ {
+		snap.Cells = append(snap.Cells, CellScoreEntry{FpHi: uint64(i), Cell: 1, Profile: CellScore{WInf: 1, W1: 1}})
+	}
+	cache := NewScoreCache()
+	if err := cache.Restore(snap); err != nil {
+		t.Fatal(err)
+	}
+	if got := cache.Len(); got != maxCacheEntries {
+		t.Fatalf("Len() = %d, want %d", got, maxCacheEntries)
+	}
+	back := cache.Snapshot()
+	if len(back.Scores) != 0 {
+		t.Fatalf("%d scores survived, want 0 (all older than the newest %d cells)", len(back.Scores), maxCacheEntries)
+	}
+	if len(back.Cells) != maxCacheEntries || back.Cells[0].FpHi != extra-5 || back.Cells[maxCacheEntries-1].FpHi != maxCacheEntries+extra-6 {
+		t.Fatalf("kept cells %d…%d (%d), want %d…%d", back.Cells[0].FpHi, back.Cells[len(back.Cells)-1].FpHi,
+			len(back.Cells), extra-5, maxCacheEntries+extra-6)
+	}
+}

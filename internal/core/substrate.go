@@ -45,12 +45,17 @@ type Substrate interface {
 	// part of the contract: sweeps keep first maximizers, so it
 	// determines which pair a diagnostic label names.
 	SecretPairs() ([]SecretSpec, error)
-	// CountDistGiven returns the exact conditional distribution of
-	// F(X) = Σ_pos w[X_pos] given X_pos = val under distribution
-	// theta (an index into the substrate's Θ). pos is 1-based; pos = 0
-	// means no conditioning. It errors when the conditioning event has
-	// probability zero.
-	CountDistGiven(theta int, w []int, pos, val int) (dist.Discrete, error)
+	// CountDistSweep computes, under distribution theta (an index into
+	// the substrate's Θ), the exact conditional distribution of
+	// F(X) = Σ_pos w[X_pos] given X_pos = val for every position pos in
+	// [from, to] (1-based) and every value val with
+	// need[(pos−from)·K() + val], writing it to out at the same index
+	// and leaving the other slots untouched. It errors on the first
+	// needed conditioning event, in ascending (pos, val) order, of
+	// probability zero. A distribution must not depend on the range it
+	// was swept in: CountInstance splits ranges freely and relies on
+	// bit-identical results.
+	CountDistSweep(theta int, w []int, from, to int, need []bool, out []dist.Discrete) error
 	// WriteFingerprint streams the substrate's canonical fingerprint
 	// bytes — everything scores depend on besides (ε, options) — into
 	// w. Implementations must not write the kind tag;
@@ -85,7 +90,7 @@ func (sp SecretSpec) label() string {
 // CountInstance is the generic WassersteinInstance of a substrate: it
 // makes Algorithm 1 (and the Kantorovich cell profiles) runnable on
 // anything implementing Substrate, with the same enumeration order,
-// labels, and parallel fan as the historical chain-only path — scores
+// labels, and distributions as the historical chain-only path — scores
 // through it are bit-identical to the pre-Substrate pipeline.
 type CountInstance struct {
 	Substrate Substrate
@@ -93,47 +98,126 @@ type CountInstance struct {
 	// F that value's occupancy count.
 	W []int
 	// Parallelism bounds the worker count of the conditional-
-	// distribution fan: 0 uses every CPU, 1 runs strictly serial. The
-	// pair list is identical (same order, same distributions) at every
-	// setting.
+	// distribution sweeps: 0 uses every CPU, 1 runs strictly serial.
+	// The pair list is identical (same order, same distributions) at
+	// every setting.
 	Parallelism int
 }
 
+// sweepChunksPerWorker oversubscribes the position chunks of each θ so
+// the pool's dynamic claim evens out cost estimates that miss (a
+// network's nodes cost about the same each, not a chain's suffix).
+const sweepChunksPerWorker = 4
+
 // ConditionalPairs implements WassersteinInstance. Secret values with
 // zero probability are skipped per Definition 2.1 (the substrate's
-// SecretPairs contract); the O(expensive) conditional distribution
-// computations — the dominant cost — fan across the pool, each job
-// writing its own slot, so the resulting list is deterministic.
+// SecretPairs contract). The conditional distributions — the dominant
+// cost — come from one CountDistSweep per position chunk of each θ:
+// every distinct (θ, pos, val) is computed once, however many pairs
+// share it. Chunks are contiguous, balanced by suffix cost, and fan
+// across the pool; the pairs are assembled in spec order, so the list
+// is deterministic.
 func (c CountInstance) ConditionalPairs() ([]DistributionPair, error) {
-	if len(c.W) != c.Substrate.K() {
-		return nil, fmt.Errorf("core: weight vector has length %d, want %d", len(c.W), c.Substrate.K())
+	k := c.Substrate.K()
+	if len(c.W) != k {
+		return nil, fmt.Errorf("core: weight vector has length %d, want %d", len(c.W), k)
 	}
 	specs, err := c.Substrate.SecretPairs()
 	if err != nil {
 		return nil, err
 	}
-	pairs := make([]DistributionPair, len(specs))
-	errs := make([]error, len(specs))
-	sched.New(c.Parallelism).ForEach(len(specs), func(j int) {
-		sp := specs[j]
-		mu, err := c.Substrate.CountDistGiven(sp.Theta, c.W, sp.Pos, sp.A)
-		if err != nil {
-			errs[j] = err
-			return
+	T := c.Substrate.Len()
+	// One need mask and one output slab per θ with any spec, indexed
+	// (pos−1)·k + val; specs are θ-major, so groups follow spec order.
+	type group struct {
+		theta int
+		need  []bool
+		out   []dist.Discrete
+		cost  []float64 // per position; 0 where nothing is needed
+	}
+	var groups []group
+	groupOf := make([]int, len(specs))
+	for j, sp := range specs {
+		if len(groups) == 0 || groups[len(groups)-1].theta != sp.Theta {
+			groups = append(groups, group{
+				theta: sp.Theta,
+				need:  make([]bool, T*k),
+				out:   make([]dist.Discrete, T*k),
+				cost:  make([]float64, T),
+			})
 		}
-		nu, err := c.Substrate.CountDistGiven(sp.Theta, c.W, sp.Pos, sp.B)
-		if err != nil {
-			errs[j] = err
-			return
+		g := &groups[len(groups)-1]
+		groupOf[j] = len(groups) - 1
+		for _, v := range [2]int{sp.A, sp.B} {
+			if i := (sp.Pos-1)*k + v; !g.need[i] {
+				g.need[i] = true
+				// A conditioned value at pos runs the steps pos…T, and
+				// step t spans ~t partial sums.
+				g.cost[sp.Pos-1] += float64(T*(T+1)-(sp.Pos-1)*sp.Pos) / 2
+			}
 		}
-		pairs[j] = DistributionPair{Mu: mu, Nu: nu, Label: sp.label()}
+	}
+	pool := sched.New(c.Parallelism)
+	nChunks := 1
+	if w := pool.Workers(); w > 1 {
+		nChunks = w * sweepChunksPerWorker
+	}
+	type chunk struct{ g, from, to int }
+	var chunks []chunk
+	for gi, g := range groups {
+		for _, r := range splitByCost(g.cost, nChunks) {
+			chunks = append(chunks, chunk{g: gi, from: r[0], to: r[1]})
+		}
+	}
+	errs := make([]error, len(chunks))
+	pool.ForEach(len(chunks), func(j int) {
+		ch := chunks[j]
+		g := groups[ch.g]
+		lo, hi := (ch.from-1)*k, ch.to*k
+		errs[j] = c.Substrate.CountDistSweep(g.theta, c.W, ch.from, ch.to, g.need[lo:hi], g.out[lo:hi])
 	})
 	for _, err := range errs {
 		if err != nil {
 			return nil, err
 		}
 	}
+	pairs := make([]DistributionPair, len(specs))
+	for j, sp := range specs {
+		out := groups[groupOf[j]].out[(sp.Pos-1)*k:]
+		pairs[j] = DistributionPair{Mu: out[sp.A], Nu: out[sp.B], Label: sp.label()}
+	}
 	return pairs, nil
+}
+
+// splitByCost partitions the positions with positive cost (1-based
+// indices into cost) into at most n contiguous inclusive ranges of
+// roughly equal total cost.
+func splitByCost(cost []float64, n int) [][2]int {
+	var total float64
+	for _, c := range cost {
+		total += c
+	}
+	var out [][2]int
+	var acc float64
+	from, last := 0, 0
+	for i, c := range cost {
+		if c <= 0 {
+			continue
+		}
+		if from == 0 {
+			from = i + 1
+		}
+		last = i + 1
+		acc += c
+		if acc >= total*float64(len(out)+1)/float64(n) {
+			out = append(out, [2]int{from, last})
+			from = 0
+		}
+	}
+	if from != 0 {
+		out = append(out, [2]int{from, last})
+	}
+	return out
 }
 
 // ClassSubstrate adapts a markov.Class to the Substrate interface —
@@ -207,8 +291,18 @@ func (s *ClassSubstrate) SecretPairs() ([]SecretSpec, error) {
 	return specs, nil
 }
 
-// CountDistGiven implements Substrate via the chain's forward dynamic
-// program.
+// CountDistSweep implements Substrate via the chain's forward dynamic
+// program, which reuses one unconditioned prefix across the range.
+func (s *ClassSubstrate) CountDistSweep(theta int, w []int, from, to int, need []bool, out []dist.Discrete) error {
+	if theta < 0 || theta >= len(s.chains) {
+		return fmt.Errorf("core: θ index %d outside [0,%d)", theta, len(s.chains))
+	}
+	return s.chains[theta].CountDistSweep(s.class.T(), w, from, to, need, out)
+}
+
+// CountDistGiven returns the conditional distribution of F(X) given
+// X_pos = val under θ (pos = 0: unconditioned) — one position of
+// CountDistSweep.
 func (s *ClassSubstrate) CountDistGiven(theta int, w []int, pos, val int) (dist.Discrete, error) {
 	if theta < 0 || theta >= len(s.chains) {
 		return dist.Discrete{}, fmt.Errorf("core: θ index %d outside [0,%d)", theta, len(s.chains))

@@ -21,8 +21,10 @@ import (
 //
 // It computes the conditional distributions of F exactly (dynamic
 // programming, no Monte-Carlo), so it is a genuine end-to-end check of
-// Theorems 3.2/4.3 for the scales the mechanisms choose. Intended for
-// tests on small chains: cost is O(T²k²) per (θ, i).
+// Theorems 3.2/4.3 for the scales the mechanisms choose. They come
+// from the scorers' own path, one markov.Chain.CountDistSweep per θ:
+// O(k³·T³·(wMax−wMin)) time per θ, plus the density evaluations on the
+// grid. Intended for tests on small chains.
 func VerifyChainPufferfish(class markov.Class, w []int, scale, eps, slack float64, grid []float64) error {
 	if err := checkEpsilon(eps); err != nil {
 		return err
@@ -35,29 +37,28 @@ func VerifyChainPufferfish(class markov.Class, w []int, scale, eps, slack float6
 	noise := laplace.New(scale)
 	for ti, theta := range class.Chains() {
 		marg := theta.Marginals(T)
+		// Conditional distributions of F for each admissible value,
+		// indexed (i−1)·k + a.
+		admissible := make([]bool, T*k)
 		for i := 1; i <= T; i++ {
-			// Conditional distributions of F for each admissible value.
-			conds := make([]dist.Discrete, k)
-			admissible := make([]bool, k)
 			for a := 0; a < k; a++ {
-				if marg[i-1][a] <= 0 {
-					continue
-				}
-				d, err := theta.CountDistGiven(T, w, i, a)
-				if err != nil {
-					return err
-				}
-				conds[a] = d
-				admissible[a] = true
+				admissible[(i-1)*k+a] = marg[i-1][a] > 0
 			}
+		}
+		conds := make([]dist.Discrete, T*k)
+		if err := theta.CountDistSweep(T, w, 1, T, admissible, conds); err != nil {
+			return err
+		}
+		for i := 1; i <= T; i++ {
+			ok, at := admissible[(i-1)*k:i*k], conds[(i-1)*k:i*k]
 			for a := 0; a < k; a++ {
 				for b := a + 1; b < k; b++ {
-					if !admissible[a] || !admissible[b] {
+					if !ok[a] || !ok[b] {
 						continue
 					}
 					for _, out := range grid {
-						pa := releaseDensity(conds[a], noise, out)
-						pb := releaseDensity(conds[b], noise, out)
+						pa := releaseDensity(at[a], noise, out)
+						pb := releaseDensity(at[b], noise, out)
 						//privlint:allow floatcompare exact-zero densities on both sides make the ratio vacuous
 						if pa == 0 && pb == 0 {
 							continue

@@ -64,6 +64,26 @@ func Sum(xs []float64) float64 {
 	return sum
 }
 
+// AddScaled adds alpha·s[i] to dst[i] for every i < len(s) — the
+// axpy of the dynamic programs' inner loops, unrolled by four because
+// the loop overhead otherwise rivals the arithmetic. Every element is
+// still one multiply and one add, so the result is bit-identical to
+// the plain loop's. It panics if dst is shorter than s.
+func AddScaled(dst []float64, alpha float64, s []float64) {
+	dst = dst[:len(s)]
+	i := 0
+	for ; i+4 <= len(s); i += 4 {
+		d, v := dst[i:i+4:i+4], s[i:i+4:i+4]
+		d[0] += alpha * v[0]
+		d[1] += alpha * v[1]
+		d[2] += alpha * v[2]
+		d[3] += alpha * v[3]
+	}
+	for ; i < len(s); i++ {
+		dst[i] += alpha * s[i]
+	}
+}
+
 // Dot returns the inner product of a and b. It panics if the lengths
 // differ, as that is always a programming error in this codebase.
 func Dot(a, b []float64) float64 {

@@ -153,3 +153,26 @@ func TestMean(t *testing.T) {
 		t.Errorf("Mean = %v", got)
 	}
 }
+
+// TestAddScaledMatchesLoop: the unrolled axpy is bit-identical to the
+// plain loop at every length around the unroll width, and leaves dst
+// past len(s) alone.
+func TestAddScaledMatchesLoop(t *testing.T) {
+	for n := 0; n <= 9; n++ {
+		s := make([]float64, n)
+		dst := make([]float64, n+1)
+		want := make([]float64, n+1)
+		for i := range s {
+			s[i] = 1 / float64(3+i)
+			dst[i] = float64(i) / 7
+			want[i] = dst[i] + 0.3*s[i]
+		}
+		dst[n], want[n] = 5, 5
+		AddScaled(dst, 0.3, s)
+		for i := range want {
+			if math.Float64bits(dst[i]) != math.Float64bits(want[i]) {
+				t.Fatalf("n=%d: dst[%d] = %v, want %v", n, i, dst[i], want[i])
+			}
+		}
+	}
+}

@@ -35,12 +35,18 @@
 //
 // # Engine integration
 //
-// A release invokes the pair sweep once per cell per distinct session
-// length, so the per-pair dynamic programs fan across the sched pool
-// (bit-identical at every parallelism, like every scorer in this
-// repository), and finished profiles are memoized in the shared
-// core.ScoreCache keyed by (class fingerprint, cell) — profiles are
-// ε-independent, so one warm entry serves every privacy budget.
+// A release profiles every cell once per distinct session length. A
+// profile needs P(N_cell | X_i = a) for every secret (θ, i, a), and
+// core.CountInstance computes each one once, from one conditional-count
+// sweep per θ rather than a dynamic program per pair: a chain advances
+// one unconditioned forward table through the positions and runs only
+// the conditioned suffix per (i, a), and a network serves every value
+// of a node from one rooted message pass. The sweeps split into
+// position chunks that fan across the sched pool (bit-identical at
+// every parallelism, like every scorer in this repository), and
+// finished profiles are memoized in the shared core.ScoreCache keyed by
+// (class fingerprint, cell) — profiles are ε-independent, so one warm
+// entry serves every privacy budget.
 package kantorovich
 
 import (
@@ -58,8 +64,8 @@ import (
 
 // Options tunes the profile sweeps.
 type Options struct {
-	// Parallelism bounds the worker count of the per-pair dynamic
-	// programs and distance sweeps: 0 uses every CPU, 1 runs strictly
+	// Parallelism bounds the worker count of the conditional-count
+	// sweeps and distance sweeps: 0 uses every CPU, 1 runs strictly
 	// serial. Profiles and scores are bit-identical at every setting.
 	Parallelism int
 }

@@ -11,7 +11,14 @@
 //	GET  /v1/stats          cache traffic, per-mechanism release
 //	                        counters, worker budget, uptime
 //	GET  /metrics           Prometheus text-format exposition
-//	GET  /v1/traces/recent  newest request traces with per-stage spans
+//	GET  /v1/traces/recent  newest request traces with per-stage spans;
+//	                        ?id=ID returns one trace, 404 once evicted
+//
+// Release bodies are parsed by the server's strict single-pass decoder,
+// which accepts exactly what encoding/json accepts for the request
+// types (unknown fields and trailing data refused, 64 MiB limit) and
+// decodes it to the same values. Every release response carries an
+// X-Request-Id header, the ID of its trace.
 //
 // Observability flags: -log-format selects text or json structured
 // logs (log/slog) with request-scoped attributes; -slow-request logs

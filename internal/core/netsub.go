@@ -119,17 +119,6 @@ func (s *NetworkSubstrate) CountDistSweep(theta int, w []int, from, to int, need
 	return s.nets[theta].CountDistSweep(w, from-1, to-1, need, out)
 }
 
-// CountDistGiven returns the conditional distribution of F(X) given
-// X_pos = val under θ — one node of CountDistSweep — translating the
-// substrate's 1-based position (0 = unconditioned) to the network's
-// 0-based node index (−1 = unconditioned).
-func (s *NetworkSubstrate) CountDistGiven(theta int, w []int, pos, val int) (dist.Discrete, error) {
-	if theta < 0 || theta >= len(s.nets) {
-		return dist.Discrete{}, fmt.Errorf("core: θ index %d outside [0,%d)", theta, len(s.nets))
-	}
-	return s.nets[theta].CountDistGiven(w, pos-1, val)
-}
-
 // WriteFingerprint implements Substrate: the shared cardinality, the
 // node count, the network count, then each network's structure and
 // parameters — per node the parent list and the full CPT, in node

@@ -57,11 +57,11 @@ func TestNetworkSubstrateMatchesChain(t *testing.T) {
 			if pos == 0 && val > 0 {
 				continue
 			}
-			dc, err := cs.CountDistGiven(0, w, pos, val)
+			dc, err := chain.CountDistGiven(T, w, pos, val)
 			if err != nil {
 				t.Fatalf("chain pos=%d val=%d: %v", pos, val, err)
 			}
-			dn, err := ns.CountDistGiven(0, w, pos, val)
+			dn, err := nw.CountDistGiven(w, pos-1, val)
 			if err != nil {
 				t.Fatalf("network pos=%d val=%d: %v", pos, val, err)
 			}

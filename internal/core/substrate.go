@@ -300,16 +300,6 @@ func (s *ClassSubstrate) CountDistSweep(theta int, w []int, from, to int, need [
 	return s.chains[theta].CountDistSweep(s.class.T(), w, from, to, need, out)
 }
 
-// CountDistGiven returns the conditional distribution of F(X) given
-// X_pos = val under θ (pos = 0: unconditioned) — one position of
-// CountDistSweep.
-func (s *ClassSubstrate) CountDistGiven(theta int, w []int, pos, val int) (dist.Discrete, error) {
-	if theta < 0 || theta >= len(s.chains) {
-		return dist.Discrete{}, fmt.Errorf("core: θ index %d outside [0,%d)", theta, len(s.chains))
-	}
-	return s.chains[theta].CountDistGiven(s.class.T(), w, pos, val)
-}
-
 // WriteFingerprint implements Substrate: the chain length T, the state
 // count, the AllInitialDistributions flag, and every representative
 // chain's initial distribution and transition matrix, in Chains()

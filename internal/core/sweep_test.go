@@ -55,11 +55,17 @@ func sameDistBits(a, b dist.Discrete) bool {
 	return true
 }
 
-// countDistGiven is the one-position query both concrete substrates
-// keep beside the sweep.
-type countDistGiven interface {
-	Substrate
-	CountDistGiven(theta int, w []int, pos, val int) (dist.Discrete, error)
+// countDistGiven is the per-spec oracle: one conditional count
+// distribution of F(X) given X_pos = val under θ, straight from the
+// substrate's own chain or network, independent of the sweep.
+func countDistGiven(sub Substrate, theta int, w []int, pos, val int) (dist.Discrete, error) {
+	switch s := sub.(type) {
+	case *ClassSubstrate:
+		return s.chains[theta].CountDistGiven(s.class.T(), w, pos, val)
+	case *NetworkSubstrate:
+		return s.nets[theta].CountDistGiven(w, pos-1, val)
+	}
+	return dist.Discrete{}, fmt.Errorf("no per-spec oracle for %T", sub)
 }
 
 // TestConditionalPairsMatchPerSpec: the per-θ sweeps behind
@@ -70,7 +76,7 @@ type countDistGiven interface {
 // network classes.
 func TestConditionalPairsMatchPerSpec(t *testing.T) {
 	r := rand.New(rand.NewPCG(15, 2017))
-	var subs []countDistGiven
+	var subs []Substrate
 	var names []string
 	for _, k := range []int{2, 3, 4} {
 		for _, T := range []int{1, 2, 17} {
@@ -114,11 +120,11 @@ func TestConditionalPairsMatchPerSpec(t *testing.T) {
 					t.Fatalf("%s w=%v par=%d: %d pairs for %d specs", names[si], w, par, len(pairs), len(specs))
 				}
 				for j, sp := range specs {
-					mu, err := sub.CountDistGiven(sp.Theta, w, sp.Pos, sp.A)
+					mu, err := countDistGiven(sub, sp.Theta, w, sp.Pos, sp.A)
 					if err != nil {
 						t.Fatal(err)
 					}
-					nu, err := sub.CountDistGiven(sp.Theta, w, sp.Pos, sp.B)
+					nu, err := countDistGiven(sub, sp.Theta, w, sp.Pos, sp.B)
 					if err != nil {
 						t.Fatal(err)
 					}

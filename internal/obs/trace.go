@@ -16,11 +16,11 @@ var traceIDs atomic.Uint64
 type traceCtxKey struct{}
 
 // Trace is one request's span collection: a flat list of timed stages
-// (prepare, ceiling, wait, score, noise, finish, journal) plus
-// string attributes a handler attaches as it learns them (mechanism,
-// substrate, session, status). A Trace is safe for concurrent span
-// recording; handlers create one per request, thread it through the
-// context, and hand the finished trace to a TraceRing.
+// (read, decode, prepare, ceiling, wait, score, noise, finish, journal,
+// encode) plus string attributes a handler attaches as it learns them
+// (mechanism, substrate, session, status). A Trace is safe for
+// concurrent span recording; handlers create one per request, thread it
+// through the context, and hand the finished trace to a TraceRing.
 type Trace struct {
 	ID    string
 	Name  string
@@ -35,12 +35,15 @@ type Trace struct {
 // Attr is one key-value annotation on a trace, in attachment order.
 type Attr struct{ Key, Value string }
 
-// NewTrace starts a named trace.
-func NewTrace(name string) *Trace {
+// NewTrace starts a named trace with room for the given number of
+// spans, so a caller that knows its stage count allocates the span list
+// once and a TraceRing holds no growth slack (more spans still fit).
+func NewTrace(name string, spans int) *Trace {
 	return &Trace{
 		ID:    "t" + strconv.FormatUint(traceIDs.Add(1), 16),
 		Name:  name,
 		Start: time.Now(),
+		spans: make([]SpanRecord, 0, spans),
 	}
 }
 
@@ -264,6 +267,24 @@ func (r *TraceRing) Len() int {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	return r.n
+}
+
+// Find returns the snapshot of the held trace with the given ID; ok is
+// false when no such trace was added or the ring has evicted it.
+func (r *TraceRing) Find(id string) (snap TraceSnapshot, ok bool) {
+	r.mu.Lock()
+	var t *Trace
+	for i := 1; i <= r.n; i++ {
+		if c := r.buf[(r.pos-i+len(r.buf))%len(r.buf)]; c.ID == id {
+			t = c
+			break
+		}
+	}
+	r.mu.Unlock()
+	if t == nil {
+		return TraceSnapshot{}, false
+	}
+	return t.Snapshot(), true
 }
 
 // Recent returns snapshots of the held traces, newest first.

@@ -9,7 +9,7 @@ import (
 )
 
 func TestSpansRecord(t *testing.T) {
-	tr := NewTrace("release")
+	tr := NewTrace("release", 0)
 	ctx := WithTrace(context.Background(), tr)
 	if TraceFrom(ctx) != tr {
 		t.Fatal("TraceFrom lost the trace")
@@ -51,7 +51,7 @@ func TestSpanNoopWithoutTrace(t *testing.T) {
 }
 
 func TestTraceAttrs(t *testing.T) {
-	tr := NewTrace("release")
+	tr := NewTrace("release", 0)
 	tr.SetAttr("mechanism", "dp")
 	tr.SetAttr("status", "200")
 	tr.SetAttr("status", "403") // overwrite, order preserved
@@ -67,7 +67,7 @@ func TestTraceAttrs(t *testing.T) {
 }
 
 func TestTraceSnapshot(t *testing.T) {
-	tr := NewTrace("release")
+	tr := NewTrace("release", 0)
 	ctx := WithTrace(context.Background(), tr)
 	_, sp := StartSpan(ctx, "prepare")
 	sp.End()
@@ -94,7 +94,7 @@ func TestTraceRing(t *testing.T) {
 		t.Fatalf("empty ring: %v", got)
 	}
 	for i := 0; i < 5; i++ {
-		tr := NewTrace(fmt.Sprintf("req-%d", i))
+		tr := NewTrace(fmt.Sprintf("req-%d", i), 0)
 		r.Add(tr)
 	}
 	if r.Len() != 3 {
@@ -116,10 +116,31 @@ func TestTraceRing(t *testing.T) {
 	}
 }
 
+// TestTraceRingFind: Find returns a held trace by ID and misses once
+// the ring has evicted it.
+func TestTraceRingFind(t *testing.T) {
+	r := NewTraceRing(2)
+	var traces []*Trace
+	for i := 0; i < 3; i++ {
+		tr := NewTrace(fmt.Sprintf("req-%d", i), 0)
+		traces = append(traces, tr)
+		r.Add(tr)
+	}
+	for i, want := range []bool{false, true, true} {
+		snap, ok := r.Find(traces[i].ID)
+		if ok != want || (ok && (snap.ID != traces[i].ID || snap.Name != traces[i].Name)) {
+			t.Errorf("Find(%s) = (%+v, %v), want held %v", traces[i].ID, snap, ok, want)
+		}
+	}
+	if _, ok := r.Find("nope"); ok {
+		t.Error("Find of an unknown ID succeeded")
+	}
+}
+
 func TestTraceIDsUnique(t *testing.T) {
 	seen := map[string]bool{}
 	for i := 0; i < 100; i++ {
-		id := NewTrace("x").ID
+		id := NewTrace("x", 0).ID
 		if seen[id] {
 			t.Fatalf("duplicate trace id %s", id)
 		}

@@ -10,11 +10,11 @@ import (
 
 // stageNames pins the release pipeline's stage vocabulary. Handlers
 // record spans with exactly these names (release owns prepare, noise,
-// finish, journal; the server owns ceiling, wait, score), and the
-// stage-latency histogram pre-creates every series so a scrape sees
-// all stages from the first request, zero-valued until traffic
-// exercises them.
-var stageNames = []string{"prepare", "ceiling", "wait", "score", "noise", "finish", "journal"}
+// finish, journal; the server owns read, decode, ceiling, wait, score,
+// encode), and the stage-latency histogram pre-creates every series so
+// a scrape sees all stages from the first request, zero-valued until
+// traffic exercises them.
+var stageNames = []string{"read", "decode", "prepare", "ceiling", "wait", "score", "noise", "finish", "journal", "encode"}
 
 // serverMetrics holds the hot-path instrumented families; everything
 // that already has a counter elsewhere (cache, budget, ledgers, WAL)

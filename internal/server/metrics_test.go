@@ -8,6 +8,7 @@ import (
 	"log/slog"
 	"net/http"
 	"net/http/httptest"
+	"net/url"
 	"strconv"
 	"strings"
 	"sync"
@@ -289,6 +290,94 @@ func TestTracesRecent(t *testing.T) {
 		if !seen[stage] {
 			t.Errorf("trace missing stage %s (saw %v)", stage, seen)
 		}
+	}
+}
+
+// TestRequestIDLookup: every traced response names its trace in
+// X-Request-Id, refused requests included; GET /v1/traces/recent?id=
+// serves that trace alone, and 404s once the ring has evicted it.
+func TestRequestIDLookup(t *testing.T) {
+	s := New(Config{Workers: 1})
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+	lookup := func(id string) (int, TracesResponse) {
+		t.Helper()
+		r, err := ts.Client().Get(ts.URL + "/v1/traces/recent?id=" + url.QueryEscape(id))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer r.Body.Close()
+		var tr TracesResponse
+		if r.StatusCode == http.StatusOK {
+			if err := json.NewDecoder(r.Body).Decode(&tr); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return r.StatusCode, tr
+	}
+	bad := func() string {
+		t.Helper()
+		r, err := ts.Client().Post(ts.URL+"/v1/release", "application/json", strings.NewReader("{"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		r.Body.Close()
+		if r.StatusCode != http.StatusBadRequest {
+			t.Fatalf("malformed body: status %d", r.StatusCode)
+		}
+		return r.Header.Get("X-Request-Id")
+	}
+
+	resp, out := postJSON(t, ts.Client(), ts.URL+"/v1/release", ReleaseRequest{
+		Sessions: sampleSessions(t), Epsilon: 1, Mechanism: "dp", Seed: 5,
+	})
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("release: status %d: %s", resp.StatusCode, out)
+	}
+	id := resp.Header.Get("X-Request-Id")
+	if id == "" {
+		t.Fatal("release response carries no X-Request-Id")
+	}
+	badID := bad()
+	if badID == "" || badID == id {
+		t.Fatalf("refused request's X-Request-Id %q (release's %q)", badID, id)
+	}
+	if r, err := ts.Client().Get(ts.URL + "/v1/stats"); err != nil {
+		t.Fatal(err)
+	} else if r.Body.Close(); r.Header.Get("X-Request-Id") != "" {
+		t.Error("untraced endpoint sent an X-Request-Id")
+	}
+
+	code, tr := lookup(id)
+	if code != http.StatusOK || len(tr.Traces) != 1 {
+		t.Fatalf("lookup %s: status %d, %d traces", id, code, len(tr.Traces))
+	}
+	got := tr.Traces[0]
+	if got.ID != id || got.Attrs["mechanism"] != "dp" || got.Attrs["status"] != "200" {
+		t.Errorf("lookup %s returned %+v", id, got)
+	}
+	seen := map[string]bool{}
+	for _, sp := range got.Spans {
+		seen[sp.Name] = true
+	}
+	for _, stage := range []string{"read", "decode", "prepare", "finish", "encode"} {
+		if !seen[stage] {
+			t.Errorf("looked-up trace lacks stage %s (saw %v)", stage, seen)
+		}
+	}
+	if code, tr := lookup(badID); code != http.StatusOK || tr.Traces[0].Attrs["status"] != "400" {
+		t.Errorf("lookup of the refused request: status %d, %+v", code, tr.Traces)
+	}
+	if code, _ := lookup("nope"); code != http.StatusNotFound {
+		t.Errorf("lookup of an unknown ID: status %d, want 404", code)
+	}
+
+	// A full ring of newer traces evicts the release's.
+	for i := 0; i < traceRingCapacity; i++ {
+		bad()
+	}
+	if code, _ := lookup(id); code != http.StatusNotFound {
+		t.Errorf("lookup of an evicted trace: status %d, want 404", code)
 	}
 }
 

@@ -9,9 +9,15 @@
 //	                        engine pass that dedupes identical fitted
 //	                        models and networks across requests
 //	GET  /v1/stats          cache traffic, worker budget, uptime
+//	GET  /v1/traces/recent  recent request traces; ?id= selects one
 //
 // Both release endpoints run one pipeline; /v1/release is a batch of
-// one that answers with the bare Report.
+// one that answers with the bare Report. Bodies are read once into a
+// pooled buffer and parsed by DecodeReleases, a strict single-pass
+// decoder held to encoding/json's accept/refuse behavior and decoded
+// values by a differential fuzz target. Each stage, from the body read
+// to the encoded response, is a span of the request's trace, and the
+// trace ID is echoed as the X-Request-Id response header.
 //
 // Responses are exactly release.Run's Report: N concurrent requests
 // with the same seed and config release bit-identical histograms to
@@ -25,7 +31,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"log/slog"
 	"math"
 	"net/http"
@@ -335,8 +340,11 @@ func (s *Server) instrument(endpoint string, traced bool, h http.HandlerFunc) ht
 		sw := &statusWriter{ResponseWriter: w}
 		var tr *obs.Trace
 		if traced {
-			tr = obs.NewTrace(endpoint)
+			tr = obs.NewTrace(endpoint, len(stageNames))
 			r = r.WithContext(obs.WithTrace(r.Context(), tr))
+			// The trace ID is the request ID: the log record carries it
+			// as "trace", and GET /v1/traces/recent?id= looks it up.
+			w.Header().Set("X-Request-Id", tr.ID)
 		}
 		h(sw, r)
 		if sw.status == 0 {
@@ -391,12 +399,23 @@ func (s *Server) logRequest(r *http.Request, tr *obs.Trace, status string, dur t
 
 // TracesResponse is the GET /v1/traces/recent payload: the newest
 // completed request traces, newest first, from a bounded in-memory
-// ring (nothing is persisted; a restart clears it).
+// ring (nothing is persisted; a restart clears it). With ?id=<request
+// id> it holds that request's trace alone, and the endpoint answers 404
+// once the ring has evicted it.
 type TracesResponse struct {
 	Traces []obs.TraceSnapshot `json:"traces"`
 }
 
 func (s *Server) handleTraces(w http.ResponseWriter, r *http.Request) {
+	if q := r.URL.Query(); q.Has("id") {
+		snap, ok := s.traces.Find(q.Get("id"))
+		if !ok {
+			httpError(w, http.StatusNotFound, fmt.Errorf("trace %q is not in the recent-traces ring", q.Get("id")))
+			return
+		}
+		writeJSON(w, TracesResponse{Traces: []obs.TraceSnapshot{snap}})
+		return
+	}
 	writeJSON(w, TracesResponse{Traces: s.traces.Recent()})
 }
 
@@ -604,10 +623,10 @@ func (s *Server) requestContext(r *http.Request) (context.Context, context.Cance
 }
 
 // handleReleases serves both release endpoints through one pipeline:
-// decode → prepare each member → ceiling check over the whole batch →
-// one worker grant → release.ScoreBatch → finish each → encode. POST
-// /v1/release (batch == false) is a batch of one: it answers with the
-// bare Report, traces its mechanism, substrate and session, and its
+// read → decode → prepare each member → ceiling check over the whole
+// batch → one worker grant → release.ScoreBatch → finish each → encode.
+// POST /v1/release (batch == false) is a batch of one: it answers with
+// the bare Report, traces its mechanism, substrate and session, and its
 // errors carry no member index.
 func (s *Server) handleReleases(batch bool) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
@@ -617,7 +636,7 @@ func (s *Server) handleReleases(batch bool) http.HandlerFunc {
 
 		ctx, cancel := s.requestContext(r)
 		defer cancel()
-		reqs, err := decodeReleases(w, r, batch)
+		reqs, err := decodeReleases(ctx, w, r, batch)
 		if err != nil {
 			httpError(w, http.StatusBadRequest, err)
 			return
@@ -696,32 +715,32 @@ func (s *Server) handleReleases(batch bool) http.HandlerFunc {
 		for _, p := range prepared {
 			s.metrics.releases.With(p.Mechanism(), p.SubstrateKind()).Inc()
 		}
+		_, esp := obs.StartSpan(ctx, "encode")
 		if batch {
 			writeJSON(w, BatchResponse{Reports: reports})
 		} else {
 			writeJSON(w, reports[0])
 		}
+		esp.End()
 	}
 }
 
-// decodeReleases reads a release body's members: a batch's requests,
-// or a single request as a batch of one.
-func decodeReleases(w http.ResponseWriter, r *http.Request, batch bool) ([]ReleaseRequest, error) {
-	if !batch {
-		reqs := make([]ReleaseRequest, 1)
-		if err := decodeJSON(w, r, &reqs[0]); err != nil {
-			return nil, err
-		}
-		return reqs, nil
+// decodeReleases reads a release body under the maxBodyBytes limit into
+// a pooled buffer ("read" span) and decodes its members with
+// DecodeReleases ("decode" span).
+func decodeReleases(ctx context.Context, w http.ResponseWriter, r *http.Request, batch bool) ([]ReleaseRequest, error) {
+	d := decoders.Get().(*decoder)
+	defer d.free()
+	_, sp := obs.StartSpan(ctx, "read")
+	body, err := d.read(http.MaxBytesReader(w, r.Body, maxBodyBytes))
+	sp.EndErr(err)
+	if err != nil {
+		return nil, fmt.Errorf("bad request body: %w", err)
 	}
-	var b BatchRequest
-	if err := decodeJSON(w, r, &b); err != nil {
-		return nil, err
-	}
-	if len(b.Requests) == 0 {
-		return nil, errors.New("empty batch")
-	}
-	return b.Requests, nil
+	_, sp = obs.StartSpan(ctx, "decode")
+	reqs, err := d.decode(body, batch)
+	sp.EndErr(err)
+	return reqs, err
 }
 
 // workerAsk is a batch's worker ask: the largest ask among the members
@@ -903,20 +922,6 @@ func (s *Server) Stats() Stats {
 // maxBodyBytes bounds request bodies; it matches ParseSeries's maximum
 // input line budget.
 const maxBodyBytes = 64 << 20
-
-func decodeJSON(w http.ResponseWriter, r *http.Request, v any) error {
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(v); err != nil {
-		return fmt.Errorf("bad request body: %w", err)
-	}
-	// A body must be exactly one JSON value: silently processing only
-	// the first of two concatenated requests would drop the second.
-	if err := dec.Decode(new(json.RawMessage)); !errors.Is(err, io.EOF) {
-		return errors.New("bad request body: trailing data after the JSON value")
-	}
-	return nil
-}
 
 func writeJSON(w http.ResponseWriter, v any) {
 	w.Header().Set("Content-Type", "application/json")
